@@ -75,7 +75,6 @@ from .krylov_propagator import (
     lanczos_exp_apply,
     magnus_step,
     propagate_magnus,
-    tridiag_eigh,
 )
 from .error_lab import (
     ErrorReport,

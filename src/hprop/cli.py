@@ -36,7 +36,8 @@ from .galerkin_oracle import assemble_with_rule, dense_cap, \
 from .hermite_basis import check_support_condition, gauss_hermite_rule
 from .index_set import build_full, build_hyperbolic
 from .krylov_propagator import MagnusScheme
-from .potential_approx import interpolate, potential_by_name
+from .potential_approx import interpolate, potential_by_name, \
+    smooth_remainder
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,14 +226,16 @@ def _warn_support(args) -> None:
 
 
 def _effective_approx(args, time_value: float = 0.0):
-    """Surrogate with the dilation folded into an effective half width.
+    """Surrogate of the smooth remainder, dilation folded into the half width.
 
-    With basis functions dilated by S the coordinate recurrence works in
-    node coordinates u = S x, so T_r(x / L) becomes T_r(u / (S L)); the
-    interpolation coefficients themselves do not change.
+    Only the part left after the declared harmonic confinement is
+    interpolated, as in FastHamiltonian.  With basis functions dilated by S
+    the coordinate recurrence works in node coordinates u = S x, so
+    T_r(x / L) becomes T_r(u / (S L)); the interpolation coefficients
+    themselves do not change.
     """
     spec = potential_by_name(args.potential, args.dims, args.halfwidth)
-    approx = interpolate(spec, args.degree, time=time_value)
+    approx = interpolate(smooth_remainder(spec), args.degree, time=time_value)
     if args.scale != 1.0:
         approx = dataclasses.replace(
             approx, halfwidth=args.scale * args.halfwidth)

@@ -28,9 +28,9 @@ import numpy as np
 
 from .fast_apply import fast_algorithm, get_applier
 from .galerkin_oracle import assemble_exact_galerkin, assemble_quad_galerkin, \
-    assemble_square_sum, build_full_cached
+    assemble_square_sum
 from .hermite_basis import gauss_hermite_rule
-from .index_set import CoeffVector, IndexSet, extend, restrict
+from .index_set import CoeffVector, IndexSet, build_full, extend, restrict
 from .krylov_propagator import MagnusScheme, MatVec, lanczos, \
     expm_tridiag_column, lanczos_exp_apply, propagate_magnus
 from .potential_approx import ChebApprox, PotentialSpec, interpolate, \
@@ -121,7 +121,7 @@ def reduction_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
     contributions lost to pruned recurrence paths.
     """
     if full is None:
-        full = build_full_cached(iset.dim, iset.bound)
+        full = build_full(iset.dim, iset.bound)
     on_set = fast_algorithm(iset, approx, v)
     on_full = fast_algorithm(full, approx, extend(v, full))
     comp = np.abs(on_set.data - restrict(on_full, iset).data)

@@ -9,9 +9,11 @@ where a missing neighbor, whether outside the cube or pruned away by a
 reduced index set, contributes zero.  Chebyshev polynomials of X_l / L then
 follow from the three-term recurrence on whole coefficient vectors, and a
 tensor surrogate sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
-O(sum_r |r| * size) instead of a dense matrix multiply.  Terms that involve
-only one axis additionally share a single recurrence sweep per axis, so the
-common case of separable potentials costs O(N * R * size).
+O(sum_r |r| * size) instead of a dense matrix multiply.  All terms share
+their sweeps: the degree tuples form a trie in application order, each node
+runs one recurrence sweep up to the largest degree its terms need on its
+axis, and every intermediate vector is computed once.  Separable potentials
+therefore cost one sweep per axis, O(N * R * size).
 
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
@@ -33,8 +35,8 @@ class PolynomialApplier:
     """Workspace-backed applier bound to one index set.
 
     Neighbor tables and coordinate coefficients are precomputed per axis and
-    shared; the per-call scratch vectors are allocated inside each apply, so
-    one applier can serve concurrent callers.
+    shared, the x**2 tables on first use; the per-call scratch vectors are
+    allocated inside each apply, so one applier can serve concurrent callers.
     """
 
     def __init__(self, iset: IndexSet):
@@ -53,57 +55,7 @@ class PolynomialApplier:
             self._cdown.append(np.sqrt(jl / 2.0))
             self._cup.append(np.sqrt((jl + 1.0) / 2.0))
         self.osc_levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
-
-    # -- single coordinate ----------------------------------------------------
-
-    def apply_coordinate(self, axis: int, w: np.ndarray) -> np.ndarray:
-        a = axis - 1
-        n = self.iset.size
-        pad = np.zeros(n + 1, dtype=np.result_type(w.dtype, np.float64))
-        pad[:n] = w
-        return (self._cdown[a] * pad[self._down[a]]
-                + self._cup[a] * pad[self._up[a]])
-
-    # -- Chebyshev factor of one coordinate ------------------------------------
-
-    def _cheb_first(self, axis: int, halfwidth: float, wm: np.ndarray,
-                    wp: np.ndarray, tmp: np.ndarray) -> None:
-        """wp <- (1/L) X_axis wm on padded buffers."""
-        a = axis - 1
-        n = self.iset.size
-        np.take(wm, self._up[a], out=tmp)
-        tmp *= self._cup[a]
-        np.take(wm, self._down[a], out=wp[:n])
-        wp[:n] *= self._cdown[a]
-        wp[:n] += tmp
-        wp[:n] *= 1.0 / halfwidth
-
-    def _cheb_step(self, axis: int, halfwidth: float, wm: np.ndarray,
-                   wp: np.ndarray, sp: np.ndarray, tmp: np.ndarray) -> None:
-        """sp <- (2/L) X_axis wp - wm, one recurrence advance."""
-        a = axis - 1
-        n = self.iset.size
-        np.take(wp, self._up[a], out=tmp)
-        tmp *= self._cup[a]
-        np.take(wp, self._down[a], out=sp[:n])
-        sp[:n] *= self._cdown[a]
-        sp[:n] += tmp
-        sp[:n] *= 2.0 / halfwidth
-        sp[:n] -= wm[:n]
-
-    def _chebyshev_axis(self, axis: int, deg: int, halfwidth: float,
-                        wm: np.ndarray, wp: np.ndarray, sp: np.ndarray,
-                        tmp: np.ndarray) -> tuple[np.ndarray, ...]:
-        """In-place T_deg(X_axis / L) on the padded buffer wm; deg >= 1.
-
-        Returns the rotated (wm, wp, sp) buffer triple whose second entry
-        holds the result.  All three buffers keep a zero in slot n.
-        """
-        self._cheb_first(axis, halfwidth, wm, wp, tmp)
-        for _ in range(deg - 1):
-            self._cheb_step(axis, halfwidth, wm, wp, sp, tmp)
-            wm, wp, sp = wp, sp, wm
-        return wm, wp, sp
+        self._square = None
 
     # -- full surrogate ---------------------------------------------------------
 
@@ -111,86 +63,79 @@ class PolynomialApplier:
                          axis_order=None) -> np.ndarray:
         """Multiply v by the restricted Galerkin matrix of the surrogate.
 
-        Terms touching a single axis share one recurrence sweep per axis,
-        harvesting every needed degree on the way up; only genuinely mixed
-        terms pay for their own ordered product.  Passing axis_order
-        disables the grouping and runs each term separately in that order,
-        which is the knob the commutation checks rely on.
+        One recursive walk over the degree tuples, taken in application
+        order (``axis_order``, first entry applied first; by default axis N
+        down to axis 1).  A node groups its terms by their degree on its
+        axis and runs a single three-term recurrence sweep up to the largest
+        one.  Terms with no degree left on later axes are summed into the
+        result during the sweep; every other group recurses on the swept
+        vector, so terms sharing an application prefix share its sweeps and
+        separable surrogates cost one sweep per axis.
         """
         n, N = self.iset.size, self.iset.dim
-        if axis_order is not None:
-            axis_order = [int(a) for a in axis_order]
-            if sorted(axis_order) != list(range(1, N + 1)):
+        if axis_order is None:
+            order = list(range(N, 0, -1))
+        else:
+            order = [int(a) for a in axis_order]
+            if sorted(order) != list(range(1, N + 1)):
                 raise ValueError(f"axis_order must permute 1..{N}")
-            return self._apply_terms(approx, v, axis_order, None)
-        degrees = approx.degrees
-        coeffs = approx.coeffs
-        active = degrees > 0
-        nactive = active.sum(axis=1)
         dtype = np.result_type(v.dtype, np.float64)
         acc = np.zeros(n, dtype=dtype)
-        const = coeffs[nactive == 0].sum()
-        if const != 0.0:
-            acc += const * v
-        single = np.nonzero(nactive == 1)[0]
-        if single.size:
-            wm = np.zeros(n + 1, dtype=dtype)
-            wp = np.zeros(n + 1, dtype=dtype)
-            sp = np.zeros(n + 1, dtype=dtype)
-            tmp = np.empty(n, dtype=dtype)
-            L = approx.halfwidth
-            for axis in range(N, 0, -1):
-                rows = single[active[single, axis - 1]]
-                if rows.size == 0:
-                    continue
-                weights: dict[int, float] = {}
-                for it in rows:
-                    d = int(degrees[it, axis - 1])
-                    weights[d] = weights.get(d, 0.0) + coeffs[it]
-                wm[:n] = v
-                self._cheb_first(axis, L, wm, wp, tmp)
-                w = weights.get(1)
-                if w is not None:
-                    acc += w * wp[:n]
-                for d in range(2, max(weights) + 1):
-                    self._cheb_step(axis, L, wm, wp, sp, tmp)
-                    wm, wp, sp = wp, sp, wm
-                    w = weights.get(d)
-                    if w is not None:
-                        acc += w * wp[:n]
-        mixed = np.nonzero(nactive >= 2)[0]
-        if mixed.size:
-            acc += self._apply_terms(approx, v, range(N, 0, -1), mixed)
+        if approx.nterms:
+            u = np.zeros(n + 1, dtype=dtype)
+            u[:n] = v
+            self._walk(order, approx.degrees[:, [a - 1 for a in order]],
+                       approx.coeffs, 1.0 / approx.halfwidth, u,
+                       np.zeros((4, n + 1), dtype=dtype), acc)
         return acc
 
-    def _apply_terms(self, approx: ChebApprox, v: np.ndarray, axis_order,
-                     rows) -> np.ndarray:
-        """Per-term ordered product; rows of None means every term."""
+    def _walk(self, order, degs, coeffs, scale, u, bufs, acc) -> None:
+        """acc += sum_t coeffs[t] * prod_i T_{degs[t, i]}(scale X_{order[i]}) u.
+
+        Factors apply in ``order``, whose first axis is this node's.  ``u``
+        is padded with a zero in slot n and only read; ``bufs`` holds four
+        padded scratch rows, free for this node to use.
+        """
         n = self.iset.size
-        dtype = np.result_type(v.dtype, np.float64)
-        wm = np.zeros(n + 1, dtype=dtype)
-        wp = np.zeros(n + 1, dtype=dtype)
-        sp = np.zeros(n + 1, dtype=dtype)
-        tmp = np.empty(n, dtype=dtype)
-        acc = np.zeros(n, dtype=dtype)
-        term = np.empty(n, dtype=dtype)
-        L = approx.halfwidth
-        degrees = approx.degrees
-        coeffs = approx.coeffs
-        if rows is None:
-            rows = range(coeffs.shape[0])
-        for it in rows:
-            r = degrees[it]
-            wm[:n] = v
-            for axis in axis_order:
-                deg = int(r[axis - 1])
-                if deg == 0:
-                    continue
-                wm, wp, sp = self._chebyshev_axis(axis, deg, L, wm, wp, sp, tmp)
-                wm, wp = wp, wm          # result becomes the next input
-            np.multiply(wm[:n], coeffs[it], out=term)
-            acc += term
-        return acc
+        a = order[0] - 1
+        deg = degs[:, 0]
+        leaf = ~degs[:, 1:].any(axis=1)
+        top = int(deg.max())
+        weights = np.bincount(deg[leaf], coeffs[leaf],
+                              minlength=top + 1).tolist()
+        kids = set(deg[~leaf].tolist())
+        if weights[0] != 0.0:
+            acc += weights[0] * u[:n]
+        down, up, cdown, cup = (self._down[a], self._up[a],
+                                self._cdown[a], self._cup[a])
+        tmp = bufs[3, :n]
+        prev, cur = None, u
+        for k in range(1, top + 1):
+            # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X u) into the
+            # scratch row that holds T_{k-3}; slot n stays zero
+            nxt = bufs[(k - 1) % 3]
+            np.take(cur, up, out=tmp)
+            tmp *= cup
+            np.take(cur, down, out=nxt[:n])
+            nxt[:n] *= cdown
+            nxt[:n] += tmp
+            if k == 1:
+                nxt[:n] *= scale
+            else:
+                nxt[:n] *= 2.0 * scale
+                nxt[:n] -= prev[:n]
+            prev, cur = cur, nxt
+            if weights[k] != 0.0:
+                acc += weights[k] * cur[:n]
+            if k in kids:
+                group = ~leaf & (deg == k)
+                self._walk(order[1:], degs[group, 1:], coeffs[group], scale,
+                           cur, np.zeros_like(bufs), acc)
+        # the degree-0 group sees u itself, and this node's scratch is free
+        if 0 in kids:
+            group = ~leaf & (deg == 0)
+            self._walk(order[1:], degs[group, 1:], coeffs[group], scale, u,
+                       bufs, acc)
 
     def apply_hamiltonian(self, approx: ChebApprox, v: np.ndarray) -> np.ndarray:
         out = self.apply_polynomial(approx, v)
@@ -209,7 +154,7 @@ class PolynomialApplier:
         guarantees j + 2 e_l in the set implies j + e_l in the set, so the
         two-step tables compose from the one-step ones.
         """
-        tables = self.iset._derived.get("square_tables")
+        tables = self._square
         if tables is None:
             n = self.iset.size
             down2, up2, cdown2, cup2 = [], [], [], []
@@ -223,7 +168,7 @@ class PolynomialApplier:
                 cdown2.append(np.sqrt(jl * (jl - 1.0)) / 2.0)
                 cup2.append(np.sqrt((jl + 1.0) * (jl + 2.0)) / 2.0)
             tables = (down2, up2, cdown2, cup2)
-            self.iset._derived["square_tables"] = tables
+            self._square = tables
         return tables
 
     def apply_square_sum(self, v: np.ndarray) -> np.ndarray:
@@ -272,10 +217,7 @@ def _check_approx(iset: IndexSet, approx: ChebApprox) -> None:
 
 def direct_op(iset: IndexSet, axis: int, v: CoeffVector) -> CoeffVector:
     """Coordinate multiplication X_axis applied to a coefficient vector."""
-    if not 1 <= axis <= iset.dim:
-        raise ValueError(f"axis must satisfy 1 <= axis <= {iset.dim}, got {axis}")
-    _check_vector(iset, v)
-    return CoeffVector(iset, get_applier(iset).apply_coordinate(axis, v.data))
+    return cheb_of_coordinate_apply(iset, axis, 1, 1.0, v)
 
 
 def cheb_of_coordinate_apply(iset: IndexSet, axis: int, degree: int,
@@ -288,18 +230,12 @@ def cheb_of_coordinate_apply(iset: IndexSet, axis: int, degree: int,
     if halfwidth <= 0:
         raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     _check_vector(iset, v)
-    if degree == 0:
-        return v.copy()
-    appl = get_applier(iset)
-    n = iset.size
-    dtype = np.result_type(v.data.dtype, np.float64)
-    wm = np.zeros(n + 1, dtype=dtype)
-    wp = np.zeros(n + 1, dtype=dtype)
-    spare = np.zeros(n + 1, dtype=dtype)
-    tmp = np.empty(n, dtype=dtype)
-    wm[:n] = v.data
-    _, wp, _ = appl._chebyshev_axis(axis, degree, halfwidth, wm, wp, spare, tmp)
-    return CoeffVector(iset, wp[:n].copy())
+    degrees = np.zeros((1, iset.dim), dtype=np.int64)
+    degrees[0, axis - 1] = degree
+    term = ChebApprox(dim=iset.dim, degree=degree, halfwidth=float(halfwidth),
+                      time=0.0, degrees=degrees, coeffs=np.ones(1),
+                      fit_error=0.0)
+    return CoeffVector(iset, get_applier(iset).apply_polynomial(term, v.data))
 
 
 def fast_algorithm(iset: IndexSet, approx: ChebApprox, v: CoeffVector,

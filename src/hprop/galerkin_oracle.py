@@ -27,7 +27,7 @@ import numpy as np
 
 from .hermite_basis import eval_hermite_functions, gauss_hermite_rule, \
     QuadratureRule
-from .index_set import FULL, IndexSet
+from .index_set import FULL, IndexSet, build_full
 from .potential_approx import ChebApprox, _cheb_recurrence
 
 TAG_COORDINATE = "coordinate"
@@ -232,7 +232,7 @@ def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:
     if (max_order + 1) ** dim > 10_000:
         raise ValueError("diagonalization check limited to 10000 basis "
                          "functions; reduce max_order or dim")
-    full = build_full_cached(dim, max_order)
+    full = build_full(dim, max_order)
     rule = gauss_hermite_rule(max_order)
     phi = eval_hermite_functions(rule.nodes, max_order)      # (K+1, M+1)
     u1 = np.sqrt(rule.modified_weights)[:, None] * phi.T     # (nodes, orders)
@@ -252,17 +252,3 @@ def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:
         x_dense = assemble_coordinate(full, axis, force=True).matrix
         diag_res = max(diag_res, float(np.max(np.abs(u.T @ big @ u - x_dense))))
     return diag_res, orth
-
-
-def build_full_cached(dim: int, bound: int) -> IndexSet:
-    """Full cubes memoized per (dim, bound); they get rebuilt a lot in checks."""
-    from .index_set import build_full
-    key = (dim, bound)
-    cached = _FULL_CACHE.get(key)
-    if cached is None:
-        cached = build_full(dim, bound)
-        _FULL_CACHE[key] = cached
-    return cached
-
-
-_FULL_CACHE: dict[tuple[int, int], IndexSet] = {}

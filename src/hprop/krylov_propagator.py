@@ -8,9 +8,8 @@ Lanczos factorization
     B V_m = V_m T_m + beta_m v_{m+1} e_m^T,
     exp(-i h B) v  ~=  ||v|| V_m exp(-i h T_m) e_1.
 
-T_m is real symmetric tridiagonal; its exponential column is computed from
-an implicit-shift QL eigendecomposition, kept self-contained so the whole
-propagation chain stays inspectable.
+T_m is real symmetric tridiagonal and small (m is the Krylov dimension); its
+exponential column comes from a dense symmetric eigendecomposition.
 
 Two step rules are provided: the exponential midpoint rule (B = A(t + h/2),
 order two) and a two-point Gauss commutator scheme of order four that needs
@@ -104,76 +103,11 @@ def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
     )
 
 
-def tridiag_eigh(alpha: np.ndarray,
-                 beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric tridiagonal matrix.
-
-    Implicit-shift QL with the eigenvector rotations applied to the full
-    transformation matrix.  Returns (eigenvalues ascending, eigenvectors as
-    columns).  Tolerances follow the classic formulation: an off-diagonal
-    entry is negligible once it is below 1e-14 times the sum of the absolute
-    values of its diagonal neighbors.
-    """
-    d = np.asarray(alpha, dtype=np.float64).copy()
-    m = d.shape[0]
-    e = np.zeros(m, dtype=np.float64)
-    if m > 1:
-        e[:m - 1] = np.asarray(beta, dtype=np.float64)
-    z = np.eye(m)
-    if m == 1:
-        return d, z
-    for l in range(m):
-        for iteration in range(31):
-            # find the block [l, mm] with a negligible coupling at its end
-            mm = l
-            while mm < m - 1:
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= 1e-14 * dd:
-                    break
-                mm += 1
-            if mm == l:
-                break
-            if iteration == 30:
-                raise RuntimeError(
-                    f"tridiagonal QL failed to converge for eigenvalue {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[mm] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            for i in range(mm - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[mm] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col_i = z[:, i].copy()
-                col_i1 = z[:, i + 1].copy()
-                z[:, i + 1] = s * col_i + c * col_i1
-                z[:, i] = c * col_i - s * col_i1
-            else:
-                d[l] -= p
-                e[l] = g
-                e[mm] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
-
-
 def expm_tridiag_column(alpha: np.ndarray, beta: np.ndarray,
                         tau: float) -> np.ndarray:
     """First column of exp(-i tau T) for the tridiagonal T = (alpha, beta)."""
-    d, z = tridiag_eigh(alpha, beta)
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    d, z = np.linalg.eigh(t)
     return z @ (np.exp(-1j * tau * d) * z[0, :])
 
 

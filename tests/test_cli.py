@@ -1,5 +1,7 @@
 """End-to-end checks of the command line driver, run in process."""
 
+import pytest
+
 from hprop.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -44,6 +46,22 @@ def test_rederr_reports_interior_column(capsys):
     _, columns, rows = parse_csv(out)
     assert columns[-1] == "interior_max"
     assert float(rows[0][4]) < 1e-13
+
+
+def test_rederr_interpolates_only_the_smooth_remainder(capsys):
+    # torsional-ho declares its -x**2/2 part, which the ladder applies
+    # exactly, so its reduction error is that of the torsional remainder
+    found = {}
+    for potential in ("torsional", "torsional-ho"):
+        code, out, _ = run(["rederr", "--kmax", "25", "--potential",
+                            potential], capsys)
+        assert code == EXIT_OK
+        found[potential] = parse_csv(out)[2]
+    for plain, ho in zip(found["torsional"], found["torsional-ho"]):
+        assert ho[:3] == plain[:3]
+        assert float(ho[3]) == pytest.approx(float(plain[3]), rel=1e-10)
+        assert float(ho[4]) == pytest.approx(float(plain[4]), rel=1e-10,
+                                             abs=1e-13)
 
 
 def test_bench_reports_timings(capsys):

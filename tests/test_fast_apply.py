@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -55,18 +56,40 @@ def cheb_of_matrix(mat, deg):
     return t1
 
 
-def dense_surrogate(iset, approx):
-    # ordered product, last axis applied to the vector first
+def dense_surrogate(iset, approx, order=None):
+    # ordered product, order[0] applied to the vector first; by default the
+    # last axis first
+    if order is None:
+        order = range(iset.dim, 0, -1)
     xs = [dense_coordinate(iset, axis) / approx.halfwidth
           for axis in range(1, iset.dim + 1)]
     out = np.zeros((iset.size, iset.size))
     for row, alpha in approx.terms:
         term = np.eye(iset.size)
-        for axis in range(1, iset.dim + 1):
+        for axis in order:
             if row[axis - 1] > 0:
-                term = term @ cheb_of_matrix(xs[axis - 1], row[axis - 1])
+                term = cheb_of_matrix(xs[axis - 1], row[axis - 1]) @ term
         out += alpha * term
     return out
+
+
+def per_term_surrogate(iset, approx, v, order):
+    # each term on its own, composed from single-factor applications
+    out = np.zeros(iset.size)
+    for row, alpha in approx.terms:
+        w = CoeffVector(iset, v)
+        for axis in order:
+            w = cheb_of_coordinate_apply(iset, axis, row[axis - 1],
+                                         approx.halfwidth, w)
+        out += alpha * w.data
+    return out
+
+
+def gaussian_well(pts, t):
+    # non-separable: most surrogate terms are mixed (112 of 125 in 3-D at
+    # degree 8)
+    return -(1.0 + 0.5 * math.sin(t) ** 2) * np.exp(
+        -(pts * pts).sum(axis=-1) / 50.0)
 
 
 # -- coordinate and single-axis application -----------------------------------
@@ -117,24 +140,29 @@ def test_fast_algorithm_matches_ordered_dense_product(dim, bound, degree,
     spec = smooth_remainder(potential(dim))
     approx = interpolate(spec, degree, time=0.4)
     v = CoeffVector(iset, rng.standard_normal(iset.size))
-    got = fast_algorithm(iset, approx, v)
-    want = dense_surrogate(iset, approx) @ v.data
-    scale = max(np.max(np.abs(want)), 1.0)
-    assert np.max(np.abs(got.data - want)) < 1e-13 * scale
+    for order in [None, *itertools.permutations(range(1, dim + 1))]:
+        got = fast_algorithm(iset, approx, v, axis_order=order)
+        want = dense_surrogate(iset, approx, order) @ v.data
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got.data - want)) < 1e-13 * scale
 
 
 def test_shared_axis_sweep_equals_per_term_application(rng):
-    # the grouped fast path must agree with running each term separately
-    for dim, bound in ((2, 30), (3, 12), (4, 10)):
+    # the shared-sweep walk must agree with running each term separately
+    cases = [(dim, bound, smooth_remainder(henon_heiles_perturbed(dim)), 7)
+             for dim, bound in ((2, 30), (3, 12), (4, 10))]
+    cases += [(3, 20, custom_potential(gaussian_well, 3, 16.0), 8),
+              (4, 12, custom_potential(gaussian_well, 4, 16.0), 6)]
+    for dim, bound, spec, degree in cases:
         iset = build_hyperbolic(dim, bound)
-        spec = smooth_remainder(henon_heiles_perturbed(dim))
-        approx = interpolate(spec, 7, time=0.9)
+        approx = interpolate(spec, degree, time=0.9)
         appl = get_applier(iset)
         v = rng.standard_normal(iset.size)
-        grouped = appl.apply_polynomial(approx, v)
-        ordered = appl.apply_polynomial(approx, v,
-                                        axis_order=list(range(dim, 0, -1)))
-        assert np.max(np.abs(grouped - ordered)) < 1e-15 * np.max(np.abs(ordered))
+        for order in (range(dim, 0, -1), range(1, dim + 1)):
+            order = list(order)
+            got = appl.apply_polynomial(approx, v, axis_order=order)
+            want = per_term_surrogate(iset, approx, v, order)
+            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
 _LIN_SET = build_hyperbolic(2, 10)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hprop import (
     MagnusScheme,
@@ -10,7 +10,6 @@ from hprop import (
     lanczos_exp_apply,
     magnus_step,
     propagate_magnus,
-    tridiag_eigh,
 )
 
 
@@ -21,36 +20,21 @@ def random_hermitian(gen, n, complex_entries=True):
     return 0.5 * (a + a.conj().T)
 
 
-# -- tridiagonal eigensolver ----------------------------------------------------
+# -- tridiagonal exponential ----------------------------------------------------
 
 
-@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24))
-def test_tridiag_eigh_matches_dense_solver(seed, m):
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24),
+       st.none() | st.integers(0, 22))
+@example(5, 9, None)
+@example(5, 4, 1)
+def test_expm_tridiag_column_matches_dense_exponential(seed, m, cut):
+    # cut, when inside the matrix, zeroes one coupling exactly so that T
+    # splits into two decoupled blocks
     gen = np.random.default_rng(seed)
     alpha = gen.standard_normal(m)
-    beta = gen.standard_normal(max(m - 1, 0))
-    d, z = tridiag_eigh(alpha, beta)
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    ref = np.linalg.eigvalsh(t)
-    assert np.max(np.abs(d - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
-    # residual and orthogonality of the returned vectors
-    assert np.max(np.abs(t @ z - z * d)) < 1e-12 * max(1.0, np.max(np.abs(d)))
-    assert np.max(np.abs(z.T @ z - np.eye(m))) < 1e-12
-
-
-def test_tridiag_eigh_handles_decoupled_blocks():
-    # an exact zero coupling splits the matrix; both halves must come out
-    alpha = np.array([3.0, 1.0, -2.0, 0.5])
-    beta = np.array([0.5, 0.0, 0.25])
-    d, z = tridiag_eigh(alpha, beta)
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    assert np.max(np.abs(d - np.linalg.eigvalsh(t))) < 1e-13
-
-
-def test_expm_tridiag_column_matches_dense_exponential():
-    gen = np.random.default_rng(5)
-    alpha = gen.standard_normal(9)
-    beta = gen.standard_normal(8)
+    beta = gen.standard_normal(m - 1)
+    if cut is not None and cut < m - 1:
+        beta[cut] = 0.0
     tau = 0.37
     t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
     ref = scipy.linalg.expm(-1j * tau * t)[:, 0]
