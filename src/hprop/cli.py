@@ -21,7 +21,6 @@ import dataclasses
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -120,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"potential kind (default {potential})")
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for random vectors (default 0)")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker threads for sweep points (default 1)")
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")
 
@@ -242,14 +239,6 @@ def _effective_approx(args, time_value: float = 0.0):
     return approx
 
 
-def _run_sweep(args, work, points):
-    """Evaluate ``work`` over sweep points, preserving their order."""
-    if args.jobs == 1 or len(points) <= 1:
-        return [work(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(work, points))
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -277,7 +266,7 @@ def cmd_bench(args) -> int:
         return [args.dims, k, iset.size, approx.nterms, t_fast, t_dense,
                 t_dense / t_fast, "ok"]
 
-    rows = _run_sweep(args, work, args.kmax)
+    rows = [work(k) for k in args.kmax]
     _emit(args, _meta(args, dense_cap=cap),
           ["dim", "bound", "set_size", "nterms", "t_fast_s", "t_dense_s",
            "ratio", "dense_status"], rows)
@@ -294,7 +283,7 @@ def cmd_quaderr(args) -> int:
         report = quadrature_error(iset, approx, v)
         return [args.dims, k, iset.size, report.max_norm]
 
-    rows = _run_sweep(args, work, args.kmax)
+    rows = [work(k) for k in args.kmax]
     _emit(args, _meta(args), ["dim", "bound", "set_size", "max_norm"], rows)
     return EXIT_OK
 
@@ -312,7 +301,7 @@ def cmd_rederr(args) -> int:
             else 0.0
         return [args.dims, k, iset.size, report.max_norm, local_max]
 
-    rows = _run_sweep(args, work, args.kmax)
+    rows = [work(k) for k in args.kmax]
     _emit(args, _meta(args),
           ["dim", "bound", "set_size", "max_norm", "interior_max"], rows)
     return EXIT_OK
@@ -335,7 +324,7 @@ def cmd_perturb(args) -> int:
         return [args.dims, k, iset.size, args.lanczos, str(h), float(h),
                 res.error]
 
-    rows = _run_sweep(args, work, points)
+    rows = [work(point) for point in points]
     _emit(args, _meta(args),
           ["dim", "bound", "set_size", "krylov_steps", "step", "step_value",
            "error"], rows)
@@ -368,8 +357,7 @@ def cmd_propagate(args) -> int:
                  str(Fraction(1, r.nsteps)), r.step, r.scheme_error,
                  r.perturbation_error] for r in rows]
 
-    nested = _run_sweep(args, work, args.kmax)
-    rows = [row for group in nested for row in group]
+    rows = [row for k in args.kmax for row in work(k)]
     _emit(args, _meta(args),
           ["dim", "bound", "set_size", "scheme", "krylov_steps", "step",
            "step_value", "scheme_error", "perturbation_error"], rows)

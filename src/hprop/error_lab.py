@@ -111,8 +111,8 @@ def quadrature_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
                        _report_metadata(iset, approx, MEASURE_QUADRATURE))
 
 
-def reduction_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
-                    full: IndexSet | None = None) -> ErrorReport:
+def reduction_error(iset: IndexSet, approx: ChebApprox,
+                    v: CoeffVector) -> ErrorReport:
     """Components of fast(set) v minus the restricted full-cube application.
 
     No dense matrices are involved: on the full cube the insertion algorithm
@@ -120,8 +120,7 @@ def reduction_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
     zeros, applying on the cube, and restricting back isolates exactly the
     contributions lost to pruned recurrence paths.
     """
-    if full is None:
-        full = build_full(iset.dim, iset.bound)
+    full = build_full(iset.dim, iset.bound)
     on_set = fast_algorithm(iset, approx, v)
     on_full = fast_algorithm(full, approx, extend(v, full))
     comp = np.abs(on_set.data - restrict(on_full, iset).data)
@@ -137,14 +136,9 @@ def reduction_local_mask(iset: IndexSet, approx: ChebApprox) -> np.ndarray:
     tuple r still lies in the (downward closed) set: every recurrence path
     the insertion algorithm walks then stays inside.
     """
-    degs = approx.degrees
     mask = np.ones(iset.size, dtype=bool)
-    for i, j in enumerate(iset.indices.tolist()):
-        for r in degs.tolist():
-            shifted = tuple(a + b for a, b in zip(j, r))
-            if shifted not in iset:
-                mask[i] = False
-                break
+    for r in approx.degrees:
+        mask &= iset.locate(iset.indices + r) >= 0
     return mask
 
 

@@ -24,6 +24,7 @@ operation's definition, so the order is fixed.
 from __future__ import annotations
 
 import warnings
+import weakref
 
 import numpy as np
 
@@ -40,8 +41,9 @@ class PolynomialApplier:
     """
 
     def __init__(self, iset: IndexSet):
-        self.iset = iset
         n, N = iset.size, iset.dim
+        self._iset = weakref.ref(iset)
+        self.size, self.dim, self.indices = n, N, iset.indices
         self._down = []
         self._up = []
         self._cdown = []
@@ -56,6 +58,11 @@ class PolynomialApplier:
             self._cup.append(np.sqrt((jl + 1.0) / 2.0))
         self.osc_levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
         self._square = None
+
+    @property
+    def iset(self) -> IndexSet | None:
+        """The set, held weakly: it memoizes this applier (None once gone)."""
+        return self._iset()
 
     # -- full surrogate ---------------------------------------------------------
 
@@ -72,7 +79,7 @@ class PolynomialApplier:
         vector, so terms sharing an application prefix share its sweeps and
         separable surrogates cost one sweep per axis.
         """
-        n, N = self.iset.size, self.iset.dim
+        n, N = self.size, self.dim
         if axis_order is None:
             order = list(range(N, 0, -1))
         else:
@@ -96,7 +103,7 @@ class PolynomialApplier:
         is padded with a zero in slot n and only read; ``bufs`` holds four
         padded scratch rows, free for this node to use.
         """
-        n = self.iset.size
+        n = self.size
         a = order[0] - 1
         deg = degs[:, 0]
         leaf = ~degs[:, 1:].any(axis=1)
@@ -156,15 +163,15 @@ class PolynomialApplier:
         """
         tables = self._square
         if tables is None:
-            n = self.iset.size
+            n = self.size
             down2, up2, cdown2, cup2 = [], [], [], []
-            for a in range(self.iset.dim):
+            for a in range(self.dim):
                 d1, u1 = self._down[a], self._up[a]
                 padded_d = np.append(d1, n)
                 padded_u = np.append(u1, n)
                 down2.append(padded_d[d1])
                 up2.append(padded_u[u1])
-                jl = self.iset.indices[:, a].astype(np.float64)
+                jl = self.indices[:, a].astype(np.float64)
                 cdown2.append(np.sqrt(jl * (jl - 1.0)) / 2.0)
                 cup2.append(np.sqrt((jl + 1.0) * (jl + 2.0)) / 2.0)
             tables = (down2, up2, cdown2, cup2)
@@ -179,12 +186,12 @@ class PolynomialApplier:
         where first neighbors are pruned away, so quadratic confinement
         shifts carry no reduction error at all.
         """
-        n = self.iset.size
+        n = self.size
         down2, up2, cdown2, cup2 = self._square_tables()
         pad = np.zeros(n + 1, dtype=np.result_type(v.dtype, np.float64))
         pad[:n] = v
         out = self.osc_levels * v    # sum_l (j_l + 1/2) is the full diagonal
-        for a in range(self.iset.dim):
+        for a in range(self.dim):
             out += cdown2[a] * pad[down2[a]]
             out += cup2[a] * pad[up2[a]]
         return out

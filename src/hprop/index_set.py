@@ -13,8 +13,8 @@ leaves the set.  Arbitrary downward-closed sets are accepted through
 
 Each set fixes a canonical ordering of its members, lexicographic in
 (k_1, ..., k_N).  Coefficient vectors (:class:`CoeffVector`) are stored
-densely in that ordering; the ordinal of an index is recovered through the
-set's position map.
+densely in that ordering; the ordinal of an index is recovered by a binary
+search over the set's row keys (:meth:`IndexSet.locate`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class IndexSet:
     has shape (size, dim), is sorted lexicographically and is read-only.
     """
 
-    __slots__ = ("dim", "bound", "kind", "indices", "_pos", "_derived")
+    __slots__ = ("dim", "bound", "kind", "indices", "_keys", "_derived",
+                 "__weakref__")
 
     def __init__(self, dim: int, bound: int, kind: str, indices: np.ndarray):
         if dim <= 0:
@@ -53,14 +54,20 @@ class IndexSet:
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         if indices.ndim != 2 or indices.shape[1] != dim:
             raise ValueError("indices must have shape (size, dim)")
+        if indices.shape[0] == 0 or indices.min() < 0:
+            raise ValueError("an index set needs at least one index and "
+                             "nonnegative components")
+        # locate() searches the keys, so the rows must ascend strictly
+        step = np.diff(indices, axis=0)
+        if np.any(step[np.arange(len(step)), np.argmax(step != 0, 1)] <= 0):
+            raise ValueError("indices must be distinct and in canonical "
+                             "(lexicographic) order")
         indices.setflags(write=False)
         self.dim = dim
         self.bound = bound
         self.kind = kind
         self.indices = indices
-        self._pos = {tuple(row): i for i, row in enumerate(indices.tolist())}
-        if len(self._pos) != indices.shape[0]:
-            raise ValueError("duplicate indices in index set")
+        self._keys = _row_keys(indices)
         # memo space for derived structures (neighbor tables, appliers, ...)
         self._derived: dict = {}
 
@@ -74,18 +81,31 @@ class IndexSet:
         return self.size
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._pos)
+        return map(tuple, self.indices.tolist())
 
     def __contains__(self, index) -> bool:
-        return tuple(index) in self._pos
+        return bool(self.locate(index) >= 0)
 
     def __repr__(self) -> str:
         return (f"IndexSet(dim={self.dim}, bound={self.bound}, "
                 f"kind={self.kind!r}, size={self.size})")
 
+    def locate(self, rows) -> np.ndarray:
+        """Ordinals of ``rows`` (shape (..., dim)), -1 where a row is absent."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != (self.dim,):
+            raise ValueError(f"rows must have trailing dimension {self.dim}, "
+                             f"got shape {rows.shape}")
+        keys = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.size - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
+
     def position(self, index) -> int:
         """Ordinal of ``index`` in the canonical ordering (KeyError if absent)."""
-        return self._pos[tuple(index)]
+        ordinal = int(self.locate(index))
+        if ordinal < 0:
+            raise KeyError(tuple(index))
+        return ordinal
 
     def index_at(self, ordinal: int) -> tuple[int, ...]:
         return tuple(self.indices[ordinal].tolist())
@@ -111,23 +131,22 @@ class IndexSet:
         cached = self._derived.get(key)
         if cached is not None:
             return cached
-        a = axis - 1
-        n = self.size
-        down = np.full(n, -1, dtype=np.int64)
-        up = np.full(n, -1, dtype=np.int64)
-        pos = self._pos
-        for i, row in enumerate(self.indices.tolist()):
-            kl = row[a]
-            if kl > 0:
-                row[a] = kl - 1
-                down[i] = pos.get(tuple(row), -1)
-            row[a] = kl + 1
-            up[i] = pos.get(tuple(row), -1)
-            row[a] = kl
+        shifted = self.indices.copy()
+        shifted[:, axis - 1] -= 1
+        down = self.locate(shifted)
+        shifted[:, axis - 1] += 2
+        up = self.locate(shifted)
         down.setflags(write=False)
         up.setflags(write=False)
         self._derived[key] = (down, up)
         return down, up
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's big-endian int64 words as one opaque key; for nonnegative
+    rows the keys' byte order is the canonical order at any dim and bound."""
+    words = np.ascontiguousarray(rows, dtype=">i8")
+    return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
 
 
 def _check_axis(axis: int, dim: int) -> None:
@@ -199,19 +218,16 @@ def from_indices(indices: Iterable[Sequence[int]], dim: int | None = None,
             raise ValueError(f"index {row} does not have dimension {dim}")
         if any(c < 0 for c in row):
             raise ValueError(f"index {row} has a negative component")
-    rows = sorted(set(rows))
-    present = set(rows)
-    for row in rows:
-        for a in range(dim):
-            if row[a] > 0:
-                below = row[:a] + (row[a] - 1,) + row[a + 1:]
-                if below not in present:
-                    raise ValueError(
-                        f"set is not downward closed: {row} present "
-                        f"but {below} missing")
-    bound = max(max(row) for row in rows)
-    arr = np.asarray(rows, dtype=np.int64)
-    return IndexSet(dim, bound, kind, arr)
+    arr = np.unique(np.asarray(rows, dtype=np.int64), axis=0)
+    iset = IndexSet(dim, int(arr.max()), kind, arr)
+    below = arr[:, None, :] - np.eye(dim, dtype=np.int64)
+    missing = (arr > 0) & (iset.locate(below) < 0)
+    if missing.any():
+        i, a = np.argwhere(missing)[0]
+        raise ValueError(
+            f"set is not downward closed: {tuple(arr[i].tolist())} present "
+            f"but {tuple(below[i, a].tolist())} missing")
+    return iset
 
 
 def neighbor(iset: IndexSet, index, axis: int, delta: int) -> int | None:
@@ -223,13 +239,9 @@ def neighbor(iset: IndexSet, index, axis: int, delta: int) -> int | None:
     _check_axis(axis, iset.dim)
     if delta not in (-1, 1):
         raise ValueError(f"delta must be +1 or -1, got {delta}")
-    if tuple(index) not in iset._pos:
-        raise KeyError(f"index {tuple(index)} not in set")
-    j = list(index)
-    j[axis - 1] += delta
-    if j[axis - 1] < 0:
-        return None
-    return iset._pos.get(tuple(j))
+    table = iset.neighbor_ordinals(axis)[(delta + 1) // 2]
+    ordinal = int(table[iset.position(index)])
+    return None if ordinal < 0 else ordinal
 
 
 # -- coefficient vectors --------------------------------------------------------
@@ -277,45 +289,43 @@ class CoeffVector:
 
 def read_coeff_csv(path, iset: IndexSet) -> CoeffVector:
     """Read a vector written by :meth:`CoeffVector.write_csv` back onto a set."""
-    data = np.zeros(iset.size, dtype=np.complex128)
-    seen = 0
     with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("k_1"):
+        if not fh.readline().startswith("k_1"):
             raise ValueError("malformed coefficient CSV header")
-        for line in fh:
-            parts = line.strip().split(",")
-            idx = tuple(int(p) for p in parts[:iset.dim])
-            data[iset.position(idx)] = float(parts[-2]) + 1j * float(parts[-1])
-            seen += 1
-    if seen != iset.size:
-        raise ValueError(f"CSV holds {seen} rows, set has {iset.size}")
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    rows = table[:, :iset.dim].astype(np.int64)
+    pos = iset.locate(rows)
+    if np.any(pos < 0):
+        raise KeyError(f"index {tuple(rows[np.argmin(pos)].tolist())} "
+                       "not in set")
+    if len(pos) != iset.size:
+        raise ValueError(f"CSV holds {len(pos)} rows, set has {iset.size}")
+    data = np.zeros(iset.size, dtype=np.complex128)
+    data[pos] = table[:, -2] + 1j * table[:, -1]
     return CoeffVector(iset, data)
 
 
-def _full_positions(subset: IndexSet, full: IndexSet) -> np.ndarray:
-    """Ordinals of subset members inside a full cube of the same dim/bound."""
+def _check_cube(subset: IndexSet, full: IndexSet) -> None:
+    """restrict/extend map between a set and the full cube of its dim/bound."""
     if full.kind != FULL:
         raise ValueError("target of restrict/extend must be a full cube")
     if subset.dim != full.dim or subset.bound != full.bound:
         raise ValueError(
             f"set mismatch: subset has (dim, bound) = ({subset.dim}, "
             f"{subset.bound}), full cube has ({full.dim}, {full.bound})")
-    strides = (full.bound + 1) ** np.arange(full.dim - 1, -1, -1, dtype=np.int64)
-    return subset.indices @ strides
 
 
 def restrict(v: CoeffVector, subset: IndexSet) -> CoeffVector:
     """Drop the components of a full-cube vector that fall outside ``subset``."""
-    pos = _full_positions(subset, v.iset)
-    return CoeffVector(subset, v.data[pos].copy())
+    _check_cube(subset, v.iset)
+    return CoeffVector(subset, v.data[v.iset.locate(subset.indices)])
 
 
 def extend(v: CoeffVector, full: IndexSet) -> CoeffVector:
     """Zero-pad a vector on a subset onto the full cube of equal dim/bound."""
-    pos = _full_positions(v.iset, full)
+    _check_cube(v.iset, full)
     out = np.zeros(full.size, dtype=v.data.dtype)
-    out[pos] = v.data
+    out[full.locate(v.iset.indices)] = v.data
     return CoeffVector(full, out)
 
 

@@ -122,18 +122,6 @@ def test_quaderr_output_is_reproducible(tmp_path, capsys):
     assert b"\r" not in blobs[0]
 
 
-def test_jobs_only_changes_the_header(tmp_path, capsys):
-    base = ["quaderr", "--kmax", "8,12", "--degree", "4", "--beta", "3"]
-    pa, pb = tmp_path / "serial.csv", tmp_path / "threads.csv"
-    assert main(base + ["--out", str(pa)]) == EXIT_OK
-    assert main(base + ["--jobs", "2", "--out", str(pb)]) == EXIT_OK
-    capsys.readouterr()
-    strip = lambda p: [ln for ln in p.read_text().splitlines()
-                       if not ln.startswith("# jobs=")]
-    assert strip(pa) == strip(pb)
-    assert "# jobs=2" in pb.read_text()
-
-
 def test_bench_data_columns_are_stable_across_runs(tmp_path, capsys):
     args = ["bench", "--kmax", "6", "--degree", "3", "--seed", "7"]
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"

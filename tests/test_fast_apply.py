@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +273,22 @@ def test_overflowing_application_raises():
 def test_applier_is_cached_per_set():
     iset = build_hyperbolic(2, 8)
     assert get_applier(iset) is get_applier(iset)
+
+
+def test_applier_is_freed_with_its_set_by_refcount():
+    # the set memoizes its applier; a back reference would make a cycle
+    # that only the cyclic collector frees
+    iset = build_hyperbolic(2, 8)
+    appl = get_applier(iset)
+    assert appl.iset is iset
+    ref = weakref.ref(appl)
+    del appl
+    gc.disable()
+    try:
+        del iset
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- exact quadratic confinement ----------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from hprop import (
     CoeffVector,
+    IndexSet,
     build_full,
     build_hyperbolic,
     extend,
@@ -76,6 +77,9 @@ def test_contains_and_position_reject_absent():
     assert (4, 3) not in iset      # product 20 > 11
     with pytest.raises(KeyError):
         iset.position((4, 3))
+    # batched lookup; rows with negative components are absent, not errors
+    got = iset.locate([[2, 2], [4, 3], [-1, 0]])
+    assert got.tolist() == [iset.position((2, 2)), -1, -1]
 
 
 def test_neighbor_walks_and_pruning():
@@ -93,15 +97,45 @@ def test_neighbor_walks_and_pruning():
         neighbor(iset, j, 3, 1)
 
 
+def reference_neighbors(iset, axis):
+    """Neighbor ordinals from a tuple dict, one row at a time."""
+    pos = {tuple(row): i for i, row in enumerate(iset.indices.tolist())}
+    down, up = [], []
+    for row in iset.indices.tolist():
+        for delta, out in ((-1, down), (1, up)):
+            j = list(row)
+            j[axis - 1] += delta
+            out.append(pos.get(tuple(j), -1))
+    return down, up
+
+
 def test_neighbor_ordinals_match_scalar_walks():
-    iset = build_hyperbolic(2, 12)
-    for axis in (1, 2):
-        down, up = iset.neighbor_ordinals(axis)
-        for i, row in enumerate(iset.indices.tolist()):
-            d = neighbor(iset, row, axis, -1)
-            u = neighbor(iset, row, axis, +1)
-            assert down[i] == (-1 if d is None else d)
-            assert up[i] == (-1 if u is None else u)
+    sets = [
+        build_full(1, 7), build_full(2, 6), build_full(3, 4),
+        build_hyperbolic(1, 9), build_hyperbolic(2, 12),
+        build_hyperbolic(3, 15), build_hyperbolic(4, 10),
+        from_indices([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1),
+                      (2, 0, 0), (0, 0, 2), (3, 0, 0)]),
+        # 9**20 > 2**63: no mixed-radix int64 key could encode this set
+        build_hyperbolic(20, 8),
+    ]
+    for iset in sets:
+        for axis in range(1, iset.dim + 1):
+            down, up = iset.neighbor_ordinals(axis)
+            ref_down, ref_up = reference_neighbors(iset, axis)
+            assert down.tolist() == ref_down, (iset, axis)
+            assert up.tolist() == ref_up, (iset, axis)
+
+
+def test_index_set_rejects_unsorted_rows():
+    with pytest.raises(ValueError, match="canonical"):
+        IndexSet(2, 1, "custom", np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="canonical"):
+        IndexSet(2, 1, "custom", np.array([[0, 0], [1, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="distinct"):
+        IndexSet(2, 1, "custom", np.array([[0, 0], [0, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        IndexSet(2, 1, "custom", np.array([[0, -1], [0, 0]]))
 
 
 def test_from_indices_validates_closure():
