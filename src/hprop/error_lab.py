@@ -228,7 +228,9 @@ class OracleHamiltonian:
         return out
 
     def matvec_at(self, t: float) -> MatVec:
-        mat = self.matrix_at(t)
+        # Krylov vectors are complex; one conversion per instant spares
+        # every matvec a real-to-complex copy of the matrix
+        mat = self.matrix_at(t).astype(np.complex128)
         return lambda v: mat @ v
 
 

@@ -12,6 +12,11 @@ dropped, so separable potentials keep only axis-aligned terms.  Time enters
 through the potential evaluator alone; a time-dependent problem simply
 re-interpolates at every requested t.
 
+Evaluators must be pointwise: each output row depends only on its own
+input row.  ``interpolate`` calls one several times per instant, on
+consecutive blocks of the (R+1)**dim grid of at most ``GRID_BLOCK`` points,
+and the points may arrive in any memory layout.
+
 The bundled potentials all subtract the harmonic confinement that the
 oscillator part of the Hamiltonian already carries, i.e. they are the W in
 H = D + W with D the oscillator diagonal:
@@ -31,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 DROP_THRESHOLD = 1e-14
+GRID_BLOCK = 8192           # grid points per evaluator call in interpolate
 _CUBE_SLACK = 1e-12
 _VALIDATION_SEED = 0
 
@@ -68,7 +74,9 @@ class PotentialSpec:
     """A smooth potential W(x, t) on the box [-L, L]**dim.
 
     ``evaluator`` maps (points, t) -> values, with points of shape
-    (npts, dim) and scalar t, and gives the complete potential.
+    (npts, dim) and scalar t, and gives the complete potential.  It must be
+    pointwise, since interpolation may call it on several blocks of grid
+    points per instant, and must accept points in any memory layout.
 
     ``harmonic_part`` declares that the potential contains the quadratic
     confinement shift q * sum_l x_l**2 with q = harmonic_part, so that
@@ -217,6 +225,31 @@ def _validation_points(dim: int, halfwidth: float) -> np.ndarray:
     return rng.uniform(-halfwidth, halfwidth, size=(33 * 33, dim))
 
 
+def _grid_values(evaluator, nodes: np.ndarray, dim: int,
+                 time: float) -> np.ndarray:
+    # The tensor grid in row-major order, one block of whole trailing
+    # sub-grids (at most GRID_BLOCK points) per evaluator call.  The block
+    # is an axis-major (dim, B) buffer handed over transposed, so per-axis
+    # arithmetic runs on contiguous columns and stays cache-sized.  Every
+    # coordinate is rewritten before each call, so nothing an evaluator
+    # does to its argument reaches the next block.
+    n = nodes.shape[0]
+    inner = 0
+    while inner < dim and n ** (inner + 1) <= GRID_BLOCK:
+        inner += 1
+    outer, size = dim - inner, n ** inner
+    block = np.empty((dim, size), dtype=np.float64)
+    sub = block[outer:].reshape((inner,) + (n,) * inner)
+    vals = np.empty(n ** dim, dtype=np.float64)
+    for b, lead in enumerate(np.ndindex((n,) * outer)):
+        block[:outer] = nodes[list(lead), None]
+        for j in range(inner):
+            sub[j] = nodes.reshape((n,) + (1,) * (inner - 1 - j))
+        out = np.asarray(evaluator(block.T, time), dtype=np.float64)
+        vals[b * size:(b + 1) * size] = out.reshape(size)
+    return vals
+
+
 def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebApprox:
     """Tensor Chebyshev-Gauss interpolation of ``spec`` at one instant.
 
@@ -230,9 +263,7 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
     n = R + 1
     theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     y = np.cos(theta)
-    grids = np.meshgrid(*([L * y] * N), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    vals = np.asarray(spec.evaluator(pts, float(time)), dtype=np.float64)
+    vals = _grid_values(spec.evaluator, L * y, N, float(time))
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential evaluated to a non-finite value on the "
                          "interpolation grid")

@@ -196,6 +196,18 @@ def test_dense_cap_failure_exits_numerical(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_allocation_failure_exits_numerical(capsys, monkeypatch):
+    # e.g. rederr --dims 12 --kmax 10 asks for the 9**12-point grid
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.05 TiB")
+
+    monkeypatch.setattr("hprop.cli.interpolate", refuse)
+    code, out, err = run(["rederr", "--kmax", "10"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 2.05 TiB\n"
+
+
 def test_bench_skips_dense_side_beyond_cap(capsys, monkeypatch):
     monkeypatch.setenv("HPROP_DENSE_CAP", "10")
     code, out, _ = run(["bench", "--kmax", "10", "--degree", "3"], capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from numpy.polynomial import chebyshev as C
 
 from hprop import (
+    ChebApprox,
     chebyshev_values,
     custom_potential,
     eval_interpolant,
@@ -16,6 +18,8 @@ from hprop import (
     torsional,
     torsional_minus_harmonic,
 )
+from hprop.potential_approx import DROP_THRESHOLD, GRID_BLOCK, \
+    _validation_points
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
@@ -183,3 +187,109 @@ def test_approx_csv_dump(tmp_path):
     assert lines[0].startswith("# dim=2 degree=4")
     assert lines[1] == "r_1,r_2,alpha"
     assert len(lines) == 2 + approx.nterms
+
+
+# -- the blocked interpolation grid -------------------------------------------
+
+
+def gaussian_well(pts, t):
+    return -(1.0 + 0.5 * math.sin(t) ** 2) * np.exp(
+        -(pts * pts).sum(axis=-1) / 50.0)
+
+
+def meshgrid_interpolate(spec, degree, time):
+    # the whole-grid formulation: one (R+1)**dim x dim point array, one
+    # evaluator call, then the axis-by-axis cosine transform
+    R, N, L = degree, spec.dim, spec.halfwidth
+    n = R + 1
+    theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
+    grids = np.meshgrid(*([L * np.cos(theta)] * N), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    coeffs = np.asarray(spec.evaluator(pts, time)).reshape((n,) * N)
+    C = np.cos(np.arange(n)[:, None] * theta[None, :]) * (2.0 / n)
+    C[0] *= 0.5
+    for _ in range(N):
+        coeffs = np.tensordot(coeffs, C, axes=([0], [1]))
+    amax = float(np.max(np.abs(coeffs)))
+    mask = np.abs(coeffs) > DROP_THRESHOLD * amax if amax > 0.0 \
+        else np.zeros(coeffs.shape, dtype=bool)
+    approx = ChebApprox(N, R, L, time, np.argwhere(mask), coeffs[mask], 0.0)
+    vpts = _validation_points(N, L)
+    fit = np.max(np.abs(eval_interpolant(approx, vpts)
+                        - spec.evaluator(vpts, time)))
+    return dataclasses.replace(approx, fit_error=float(fit))
+
+
+def row_major_grid(dim, degree, halfwidth):
+    n = degree + 1
+    nodes = halfwidth * np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2 * n))
+    return nodes[np.indices((n,) * dim).reshape(dim, -1).T]
+
+
+@pytest.mark.parametrize("spec, degree, blocks", [
+    (smooth_remainder(torsional_minus_harmonic(6)), 8, 81),
+    (custom_potential(gaussian_well, 3, 16.0), 8, 1),
+    (torsional(1), 0, 1),
+    (torsional(8), 4, 125),
+])
+def test_blocked_grid_matches_whole_grid_interpolation(spec, degree, blocks):
+    calls = []
+
+    def counted(pts, t):
+        calls.append(pts.shape[0])
+        return spec.evaluator(pts, t)
+
+    got = interpolate(dataclasses.replace(spec, evaluator=counted), degree,
+                      time=0.3)
+    # the grid calls, then one call on the validation points
+    assert len(calls) == blocks + 1
+    want = meshgrid_interpolate(spec, degree, 0.3)
+    assert np.array_equal(got.degrees, want.degrees)
+    scale = float(np.max(np.abs(want.coeffs), initial=0.0))
+    assert np.max(np.abs(got.coeffs - want.coeffs), initial=0.0) \
+        <= 4 * np.finfo(float).eps * scale
+    if spec.dim < 8:
+        # the evaluator's sums over <= 7 coordinates round the same way
+        # whatever the layout, so the surrogate is the same to the bit
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.fit_error == want.fit_error
+    else:
+        # a contiguous 8-term row sum is pairwise, a strided one sequential
+        assert got.fit_error == pytest.approx(
+            want.fit_error, abs=4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("dim, degree", [(6, 8), (3, 8), (1, 0), (4, 12)])
+def test_grid_blocks_cover_the_grid_once_in_row_major_order(dim, degree):
+    seen = []
+
+    def spy(pts, t):
+        seen.append(np.array(pts))
+        return np.zeros(pts.shape[0])
+
+    interpolate(custom_potential(spy, dim, 3.0), degree)
+    assert max(p.shape[0] for p in seen) <= GRID_BLOCK
+    grid = row_major_grid(dim, degree, 3.0)
+    # after the grid comes the validation call, whose points are not
+    # grid points
+    assert np.array_equal(np.concatenate(seen)[:grid.shape[0]], grid)
+    assert sum(p.shape[0] for p in seen[:-1]) == grid.shape[0]
+
+
+def test_evaluator_that_writes_its_argument_gives_the_same_surrogate():
+    L = 16.0
+
+    def pure(pts, t):
+        return (1.0 - np.cos(pts / L)).sum(axis=-1)
+
+    def in_place(pts, t):
+        pts /= L
+        np.cos(pts, out=pts)
+        return (1.0 - pts).sum(axis=-1)
+
+    want = interpolate(custom_potential(pure, 6, L), 8)
+    got = interpolate(custom_potential(in_place, 6, L), 8)
+    assert want.nterms == 25
+    assert np.array_equal(got.degrees, want.degrees)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.fit_error == want.fit_error
