@@ -40,6 +40,7 @@ from .potential_approx import (
     chebyshev_values,
     custom_potential,
     eval_interpolant,
+    fit_error,
     henon_heiles_perturbed,
     interpolate,
     potential_by_name,

@@ -203,7 +203,7 @@ class OracleHamiltonian:
                 dim=self.iset.dim, degree=max(max(tup), 0),
                 halfwidth=self.potential.halfwidth, time=0.0,
                 degrees=np.asarray([tup], dtype=np.int64),
-                coeffs=np.asarray([1.0]), fit_error=0.0)
+                coeffs=np.asarray([1.0]))
             rule = gauss_hermite_rule(self.iset.bound)
             mat = assemble_quad_galerkin(self.iset, one, rule,
                                          force=self.force).matrix

@@ -35,9 +35,10 @@ from .potential_approx import ChebApprox
 class PolynomialApplier:
     """Workspace-backed applier bound to one index set.
 
-    Neighbor tables and coordinate coefficients are precomputed per axis and
-    shared, the x**2 tables on first use; the per-call scratch vectors are
-    allocated inside each apply, so one applier can serve concurrent callers.
+    Gathers read the set's own neighbor tables: vectors carry a zero in an
+    extra last slot, which an absent neighbor's -1 picks.  The x**2 tables
+    are built on first use; the per-call scratch vectors are allocated inside
+    each apply, so one applier can serve concurrent callers.
     """
 
     def __init__(self, iset: IndexSet):
@@ -50,9 +51,8 @@ class PolynomialApplier:
         self._cup = []
         for axis in range(1, N + 1):
             down, up = iset.neighbor_ordinals(axis)
-            # absent neighbors point at the padded zero slot n
-            self._down.append(np.where(down < 0, n, down))
-            self._up.append(np.where(up < 0, n, up))
+            self._down.append(down)
+            self._up.append(up)
             jl = iset.indices[:, axis - 1].astype(np.float64)
             self._cdown.append(np.sqrt(jl / 2.0))
             self._cup.append(np.sqrt((jl + 1.0) / 2.0))
@@ -61,7 +61,7 @@ class PolynomialApplier:
 
     @property
     def iset(self) -> IndexSet | None:
-        """The set, held weakly: it memoizes this applier (None once gone)."""
+        """The set, held weakly: it keys the applier cache (None once gone)."""
         return self._iset()
 
     # -- full surrogate ---------------------------------------------------------
@@ -119,12 +119,11 @@ class PolynomialApplier:
         prev, cur = None, u
         for k in range(1, top + 1):
             # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X u) into the
-            # scratch row that holds T_{k-3}; slot n stays zero
+            # scratch row that holds T_{k-3}; slot n stays zero.  Gathers
+            # index, since np.take copies read-only tables on every call
             nxt = bufs[(k - 1) % 3]
-            np.take(cur, up, out=tmp)
-            tmp *= cup
-            np.take(cur, down, out=nxt[:n])
-            nxt[:n] *= cdown
+            np.multiply(cur[up], cup, out=tmp)
+            np.multiply(cur[down], cdown, out=nxt[:n])
             nxt[:n] += tmp
             if k == 1:
                 nxt[:n] *= scale
@@ -163,14 +162,11 @@ class PolynomialApplier:
         """
         tables = self._square
         if tables is None:
-            n = self.size
             down2, up2, cdown2, cup2 = [], [], [], []
             for a in range(self.dim):
                 d1, u1 = self._down[a], self._up[a]
-                padded_d = np.append(d1, n)
-                padded_u = np.append(u1, n)
-                down2.append(padded_d[d1])
-                up2.append(padded_u[u1])
+                down2.append(np.append(d1, -1)[d1])
+                up2.append(np.append(u1, -1)[u1])
                 jl = self.indices[:, a].astype(np.float64)
                 cdown2.append(np.sqrt(jl * (jl - 1.0)) / 2.0)
                 cup2.append(np.sqrt((jl + 1.0) * (jl + 2.0)) / 2.0)
@@ -197,12 +193,14 @@ class PolynomialApplier:
         return out
 
 
+_APPLIERS = weakref.WeakKeyDictionary()
+
+
 def get_applier(iset: IndexSet) -> PolynomialApplier:
-    """Per-set applier with precomputed neighbor tables, built once."""
-    appl = iset._derived.get("applier")
+    """Per-set applier, built once and dropped when its set is freed."""
+    appl = _APPLIERS.get(iset)
     if appl is None:
-        appl = PolynomialApplier(iset)
-        iset._derived["applier"] = appl
+        appl = _APPLIERS[iset] = PolynomialApplier(iset)
     return appl
 
 
@@ -240,8 +238,7 @@ def cheb_of_coordinate_apply(iset: IndexSet, axis: int, degree: int,
     degrees = np.zeros((1, iset.dim), dtype=np.int64)
     degrees[0, axis - 1] = degree
     term = ChebApprox(dim=iset.dim, degree=degree, halfwidth=float(halfwidth),
-                      time=0.0, degrees=degrees, coeffs=np.ones(1),
-                      fit_error=0.0)
+                      time=0.0, degrees=degrees, coeffs=np.ones(1))
     return CoeffVector(iset, get_applier(iset).apply_polynomial(term, v.data))
 
 

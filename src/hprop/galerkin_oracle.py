@@ -28,7 +28,7 @@ import numpy as np
 from .hermite_basis import eval_hermite_functions, gauss_hermite_rule, \
     QuadratureRule
 from .index_set import FULL, IndexSet, build_full
-from .potential_approx import ChebApprox, _cheb_recurrence
+from .potential_approx import ChebApprox, chebyshev_recurrence
 
 TAG_COORDINATE = "coordinate"
 TAG_QUADRATURE = "quadrature"
@@ -115,15 +115,13 @@ def assemble_square_sum(iset: IndexSet, *, force: bool = False) -> DenseOperator
     rows = np.arange(n)
     for axis in range(1, iset.dim + 1):
         down, up = iset.neighbor_ordinals(axis)
-        padded_d = np.append(np.where(down < 0, n, down), n)
-        padded_u = np.append(np.where(up < 0, n, up), n)
-        down2 = padded_d[np.where(down < 0, n, down)]
-        up2 = padded_u[np.where(up < 0, n, up)]
+        down2 = np.append(down, -1)[down]
+        up2 = np.append(up, -1)[up]
         jl = iset.indices[:, axis - 1].astype(np.float64)
-        has_up = up2 < n
+        has_up = up2 >= 0
         mat[rows[has_up], up2[has_up]] += \
             np.sqrt((jl[has_up] + 1.0) * (jl[has_up] + 2.0)) / 2.0
-        has_down = (down2 < n) & (iset.indices[:, axis - 1] >= 2)
+        has_down = (down2 >= 0) & (iset.indices[:, axis - 1] >= 2)
         mat[rows[has_down], down2[has_down]] += \
             np.sqrt(jl[has_down] * (jl[has_down] - 1.0)) / 2.0
     return DenseOperator(iset, mat, TAG_HARMONIC)
@@ -135,7 +133,8 @@ def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
     idx = iset.indices
     n, N = iset.size, iset.dim
     phi = eval_hermite_functions(rule.nodes, iset.bound)      # (K+1, M+1)
-    tch = _cheb_recurrence(rule.nodes / approx.halfwidth, max(approx.degree, 0))
+    tch = chebyshev_recurrence(rule.nodes / approx.halfwidth,
+                               max(approx.degree, 0))
     degrees = approx.degrees
     coeffs = approx.coeffs
     # per-degree node weights omega * T_r(xi / L)

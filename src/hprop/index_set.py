@@ -19,7 +19,6 @@ search over the set's row keys (:meth:`IndexSet.locate`).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +30,10 @@ HYPERBOLIC = "hyperbolic"
 CUSTOM = "custom"
 
 _KINDS = (FULL, HYPERBOLIC, CUSTOM)
+
+# Largest full cube or interpolation grid built; what the tests and the
+# benchmark build (81**3 cubes, 9**6 grids) stays far below it.
+MAX_ELEMENTS = 1 << 24
 
 
 class IndexSet:
@@ -68,7 +71,7 @@ class IndexSet:
         self.kind = kind
         self.indices = indices
         self._keys = _row_keys(indices)
-        # memo space for derived structures (neighbor tables, appliers, ...)
+        # neighbor tables per axis, built on first use
         self._derived: dict = {}
 
     # -- basic container protocol -------------------------------------------------
@@ -124,11 +127,11 @@ class IndexSet:
     def neighbor_ordinals(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Ordinals of the -1/+1 neighbors along ``axis`` (1-based), -1 if absent.
 
-        Cached per axis; the arrays are read-only.
+        Cached per axis; the arrays are read-only.  As gather indices into a
+        (size + 1) vector whose last slot is zero, -1 reads that zero.
         """
         _check_axis(axis, self.dim)
-        key = ("neighbors", axis)
-        cached = self._derived.get(key)
+        cached = self._derived.get(axis)
         if cached is not None:
             return cached
         shifted = self.indices.copy()
@@ -138,7 +141,7 @@ class IndexSet:
         up = self.locate(shifted)
         down.setflags(write=False)
         up.setflags(write=False)
-        self._derived[key] = (down, up)
+        self._derived[axis] = (down, up)
         return down, up
 
 
@@ -154,10 +157,10 @@ def _check_axis(axis: int, dim: int) -> None:
         raise ValueError(f"axis must satisfy 1 <= axis <= {dim}, got {axis}")
 
 
-def _check_total(total: int) -> None:
-    if total > sys.maxsize:
-        raise ValueError(f"index set with {total} elements exceeds the "
-                         "addressable range of this platform")
+def check_size(count: int, what: str) -> None:
+    """Refuse, before any allocation, to build more than MAX_ELEMENTS."""
+    if count > MAX_ELEMENTS:
+        raise ValueError(f"{count} {what} exceed the limit of {MAX_ELEMENTS}")
 
 
 def build_full(dim: int, bound: int) -> IndexSet:
@@ -166,7 +169,7 @@ def build_full(dim: int, bound: int) -> IndexSet:
         raise ValueError(f"dimension must be positive, got {dim}")
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    _check_total((bound + 1) ** dim)
+    check_size((bound + 1) ** dim, "full-cube members")
     ranges = [np.arange(bound + 1, dtype=np.int64)] * dim
     grids = np.meshgrid(*ranges, indexing="ij")
     indices = np.stack([g.reshape(-1) for g in grids], axis=1)

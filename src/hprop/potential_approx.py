@@ -35,6 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from .index_set import check_size
+
 DROP_THRESHOLD = 1e-14
 GRID_BLOCK = 8192           # grid points per evaluator call in interpolate
 _CUBE_SLACK = 1e-12
@@ -45,8 +47,8 @@ TORSIONAL_HO = "torsional-ho"
 HENON_HEILES = "henon-heiles"
 
 
-def _cheb_recurrence(y: np.ndarray, max_degree: int) -> np.ndarray:
-    # unguarded three-term recurrence, valid for all real y
+def chebyshev_recurrence(y: np.ndarray, max_degree: int) -> np.ndarray:
+    """T_0(y) .. T_R(y) by the three-term recurrence, for any real 1-D y."""
     out = np.empty((max_degree + 1, y.shape[0]), dtype=np.float64)
     out[0] = 1.0
     if max_degree >= 1:
@@ -65,7 +67,7 @@ def chebyshev_values(y, max_degree: int) -> np.ndarray:
     yy = np.atleast_1d(y)
     if np.any(np.abs(yy) > 1.0 + _CUBE_SLACK):
         raise ValueError("argument outside [-1, 1]")
-    out = _cheb_recurrence(np.clip(yy, -1.0, 1.0), max_degree)
+    out = chebyshev_recurrence(np.clip(yy, -1.0, 1.0), max_degree)
     return out[:, 0] if scalar else out
 
 
@@ -182,8 +184,7 @@ class ChebApprox:
     """Sparse tensor Chebyshev surrogate of a potential at one time.
 
     ``degrees`` has shape (nterms, dim) and is sorted lexicographically;
-    ``coeffs`` are the matching real coefficients.  ``fit_error`` is the
-    max-norm interpolation error observed on the validation grid.
+    ``coeffs`` are the matching real coefficients.
     """
 
     dim: int
@@ -192,7 +193,6 @@ class ChebApprox:
     time: float
     degrees: np.ndarray
     coeffs: np.ndarray
-    fit_error: float
 
     @property
     def terms(self) -> list[tuple[tuple[int, ...], float]]:
@@ -207,8 +207,7 @@ class ChebApprox:
         cols = [f"r_{l + 1}" for l in range(self.dim)] + ["alpha"]
         with open(path, "w", newline="\n") as fh:
             fh.write(f"# dim={self.dim} degree={self.degree} "
-                     f"halfwidth={self.halfwidth:.17g} time={self.time:.17g} "
-                     f"fit_error={self.fit_error:.17g}\n")
+                     f"halfwidth={self.halfwidth:.17g} time={self.time:.17g}\n")
             fh.write(",".join(cols) + "\n")
             for row, a in zip(self.degrees.tolist(), self.coeffs):
                 fh.write(",".join(str(r) for r in row) + f",{a:.17g}\n")
@@ -261,6 +260,7 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
         raise ValueError(f"degree must be nonnegative, got {degree}")
     R, N, L = degree, spec.dim, spec.halfwidth
     n = R + 1
+    check_size(n ** N, "interpolation grid points")
     theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     y = np.cos(theta)
     vals = _grid_values(spec.evaluator, L * y, N, float(time))
@@ -284,11 +284,15 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
         kept = coeffs[mask]
     degrees.setflags(write=False)
     kept.setflags(write=False)
-    approx = ChebApprox(N, R, L, float(time), degrees, kept, 0.0)
-    vpts = _validation_points(N, L)
-    resid = eval_interpolant(approx, vpts) - spec.evaluator(vpts, float(time))
-    fit = float(np.max(np.abs(resid))) if resid.size else 0.0
-    return ChebApprox(N, R, L, float(time), degrees, kept, fit)
+    return ChebApprox(N, R, L, float(time), degrees, kept)
+
+
+def fit_error(spec: PotentialSpec, approx: ChebApprox) -> float:
+    """Max-norm error of ``approx`` against ``spec`` at the surrogate's
+    time, on a fixed sample of the box (33 points in 1-D, 1089 otherwise)."""
+    vpts = _validation_points(approx.dim, approx.halfwidth)
+    resid = eval_interpolant(approx, vpts) - spec.evaluator(vpts, approx.time)
+    return float(np.max(np.abs(resid))) if resid.size else 0.0
 
 
 def eval_interpolant(approx: ChebApprox, x) -> np.ndarray:

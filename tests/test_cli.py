@@ -197,7 +197,7 @@ def test_dense_cap_failure_exits_numerical(capsys, monkeypatch):
 
 
 def test_allocation_failure_exits_numerical(capsys, monkeypatch):
-    # e.g. rederr --dims 12 --kmax 10 asks for the 9**12-point grid
+    # an allocation below the size guards that the machine still refuses
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.05 TiB")
 
@@ -206,6 +206,15 @@ def test_allocation_failure_exits_numerical(capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 2.05 TiB\n"
+
+
+def test_oversized_full_cube_exits_numerical_at_once(capsys):
+    # the reduction error's reference cube would have 401**3 members
+    code, out, err = run(["rederr", "--dims", "3", "--kmax", "400"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: 64481201 full-cube members exceed the limit of 16777216"]
 
 
 def test_bench_skips_dense_side_beyond_cap(capsys, monkeypatch):

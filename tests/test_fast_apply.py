@@ -263,8 +263,7 @@ def test_degree_above_half_bound_warns(rng):
 def test_overflowing_application_raises():
     iset = build_full(1, 6)
     approx = ChebApprox(dim=1, degree=1, halfwidth=1.0, time=0.0,
-                        degrees=np.array([[1]]), coeffs=np.array([1e308]),
-                        fit_error=0.0)
+                        degrees=np.array([[1]]), coeffs=np.array([1e308]))
     v = CoeffVector(iset, np.full(iset.size, 1e3))
     with pytest.raises(RuntimeError, match="non-finite"):
         fast_algorithm(iset, approx, v)
@@ -273,6 +272,17 @@ def test_overflowing_application_raises():
 def test_applier_is_cached_per_set():
     iset = build_hyperbolic(2, 8)
     assert get_applier(iset) is get_applier(iset)
+
+
+def test_applier_gathers_through_the_sets_own_neighbor_tables():
+    # the -1 of an absent neighbor gathers the padded zero slot, so the
+    # applier needs no copy of the tables
+    iset = build_hyperbolic(3, 12)
+    appl = get_applier(iset)
+    for axis in range(1, iset.dim + 1):
+        down, up = iset.neighbor_ordinals(axis)
+        assert appl._down[axis - 1] is down
+        assert appl._up[axis - 1] is up
 
 
 def test_applier_is_freed_with_its_set_by_refcount():

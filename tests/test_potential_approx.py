@@ -11,6 +11,7 @@ from hprop import (
     chebyshev_values,
     custom_potential,
     eval_interpolant,
+    fit_error,
     henon_heiles_perturbed,
     interpolate,
     potential_by_name,
@@ -18,8 +19,7 @@ from hprop import (
     torsional,
     torsional_minus_harmonic,
 )
-from hprop.potential_approx import DROP_THRESHOLD, GRID_BLOCK, \
-    _validation_points
+from hprop.potential_approx import DROP_THRESHOLD, GRID_BLOCK
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
@@ -54,8 +54,9 @@ def test_interpolate_1d_matches_reference_fit():
 
 
 def test_interpolate_fit_quality_torsional():
-    approx = interpolate(torsional(1), 8)
-    assert 1e-12 < approx.fit_error < 1e-8
+    spec = torsional(1)
+    approx = interpolate(spec, 8)
+    assert 1e-12 < fit_error(spec, approx) < 1e-8
     # coefficients of the analytic cosine drop fast beyond the leading pair
     # (constant and degree 2 are both about 0.23); from there each kept
     # order is at least an order of magnitude below its predecessor
@@ -95,7 +96,15 @@ def test_interpolate_degree_zero_constant():
     approx = interpolate(spec, 0)
     assert approx.nterms == 1
     assert approx.terms[0] == ((0, 0), pytest.approx(3.25))
-    assert approx.fit_error < 1e-14
+    assert fit_error(spec, approx) < 1e-14
+
+
+def test_oversized_grid_is_refused_before_any_evaluation():
+    def spy(pts, t):
+        raise AssertionError("the evaluator must not be called")
+
+    with pytest.raises(ValueError, match="^387420489 interpolation grid"):
+        interpolate(custom_potential(spy, 9, 16.0), 8)
 
 
 def test_interpolate_rejects_non_finite_potential():
@@ -114,7 +123,7 @@ def test_eval_interpolant_reproduces_polynomials_exactly(rng):
     got = eval_interpolant(approx, pts)
     want = 0.5 * pts[:, 0] ** 3 - pts[:, 1] ** 2 + 2.0
     assert np.max(np.abs(got - want)) < 1e-11
-    assert approx.fit_error < 1e-11
+    assert fit_error(spec, approx) < 1e-11
 
 
 def test_time_dependence_enters_through_reinterpolation():
@@ -137,7 +146,7 @@ def test_chained_cubic_coupling_coefficients():
     spec = henon_heiles_perturbed(2)
     t = 0.7
     approx = interpolate(spec, 3, time=t)
-    assert approx.fit_error < 1e-13
+    assert fit_error(spec, approx) < 1e-13
     terms = dict(approx.terms)
     assert terms[(2, 1)] == pytest.approx(0.5, rel=1e-12)
     assert terms[(0, 1)] == pytest.approx(0.25, rel=1e-12)
@@ -213,11 +222,7 @@ def meshgrid_interpolate(spec, degree, time):
     amax = float(np.max(np.abs(coeffs)))
     mask = np.abs(coeffs) > DROP_THRESHOLD * amax if amax > 0.0 \
         else np.zeros(coeffs.shape, dtype=bool)
-    approx = ChebApprox(N, R, L, time, np.argwhere(mask), coeffs[mask], 0.0)
-    vpts = _validation_points(N, L)
-    fit = np.max(np.abs(eval_interpolant(approx, vpts)
-                        - spec.evaluator(vpts, time)))
-    return dataclasses.replace(approx, fit_error=float(fit))
+    return ChebApprox(N, R, L, time, np.argwhere(mask), coeffs[mask])
 
 
 def row_major_grid(dim, degree, halfwidth):
@@ -241,8 +246,7 @@ def test_blocked_grid_matches_whole_grid_interpolation(spec, degree, blocks):
 
     got = interpolate(dataclasses.replace(spec, evaluator=counted), degree,
                       time=0.3)
-    # the grid calls, then one call on the validation points
-    assert len(calls) == blocks + 1
+    assert len(calls) == blocks
     want = meshgrid_interpolate(spec, degree, 0.3)
     assert np.array_equal(got.degrees, want.degrees)
     scale = float(np.max(np.abs(want.coeffs), initial=0.0))
@@ -252,11 +256,11 @@ def test_blocked_grid_matches_whole_grid_interpolation(spec, degree, blocks):
         # the evaluator's sums over <= 7 coordinates round the same way
         # whatever the layout, so the surrogate is the same to the bit
         assert np.array_equal(got.coeffs, want.coeffs)
-        assert got.fit_error == want.fit_error
+        assert fit_error(spec, got) == fit_error(spec, want)
     else:
         # a contiguous 8-term row sum is pairwise, a strided one sequential
-        assert got.fit_error == pytest.approx(
-            want.fit_error, abs=4 * np.finfo(float).eps * scale)
+        assert fit_error(spec, got) == pytest.approx(
+            fit_error(spec, want), abs=4 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("dim, degree", [(6, 8), (3, 8), (1, 0), (4, 12)])
@@ -270,10 +274,7 @@ def test_grid_blocks_cover_the_grid_once_in_row_major_order(dim, degree):
     interpolate(custom_potential(spy, dim, 3.0), degree)
     assert max(p.shape[0] for p in seen) <= GRID_BLOCK
     grid = row_major_grid(dim, degree, 3.0)
-    # after the grid comes the validation call, whose points are not
-    # grid points
-    assert np.array_equal(np.concatenate(seen)[:grid.shape[0]], grid)
-    assert sum(p.shape[0] for p in seen[:-1]) == grid.shape[0]
+    assert np.array_equal(np.concatenate(seen), grid)
 
 
 def test_evaluator_that_writes_its_argument_gives_the_same_surrogate():
@@ -287,9 +288,11 @@ def test_evaluator_that_writes_its_argument_gives_the_same_surrogate():
         np.cos(pts, out=pts)
         return (1.0 - pts).sum(axis=-1)
 
-    want = interpolate(custom_potential(pure, 6, L), 8)
-    got = interpolate(custom_potential(in_place, 6, L), 8)
+    pure_spec = custom_potential(pure, 6, L)
+    in_place_spec = custom_potential(in_place, 6, L)
+    want = interpolate(pure_spec, 8)
+    got = interpolate(in_place_spec, 8)
     assert want.nterms == 25
     assert np.array_equal(got.degrees, want.degrees)
     assert np.array_equal(got.coeffs, want.coeffs)
-    assert got.fit_error == want.fit_error
+    assert fit_error(in_place_spec, got) == fit_error(pure_spec, want)
