@@ -21,11 +21,8 @@ from .index_set import (
     build_hyperbolic,
     extend,
     from_indices,
-    load_index_set,
     neighbor,
-    read_coeff_csv,
     restrict,
-    save_index_set,
 )
 from .hermite_basis import (
     QuadratureRule,

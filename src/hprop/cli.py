@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .error_lab import build_reference, lanczos_perturbation_error, \
-    make_decay_vector, propagate_and_compare, quadrature_error, \
-    reduction_error, reduction_local_mask
+from .error_lab import lanczos_perturbation_error, make_decay_vector, \
+    propagate_and_compare, quadrature_error, reduction_error, \
+    reduction_local_mask
 from .fast_apply import get_applier
 from .galerkin_oracle import assemble_with_rule, dense_cap, \
     verify_diagonalization
@@ -189,17 +189,22 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _emit(args, meta: dict, columns: Sequence[str], rows) -> None:
-    lines = [f"# {key}={meta[key]}" for key in sorted(meta)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
+def _write_lines(args, lines: Sequence[str]) -> None:
+    """The program's one writer: ``lines`` to ``--out``, else to stdout."""
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, meta: dict, columns: Sequence[str], rows) -> None:
+    lines = [f"# {key}={meta[key]}" for key in sorted(meta)]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_format_cell(c) for c in row))
+    _write_lines(args, lines)
 
 
 def _meta(args, **extra) -> dict:
@@ -412,12 +417,7 @@ def cmd_verify(args) -> int:
         record(f"quadrature moments M={min(k, 40)}", mres <= 1e-12,
                f"relative={mres:.3e}")
 
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(args, lines)
     return EXIT_VERIFY if failures else EXIT_OK
 
 

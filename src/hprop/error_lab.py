@@ -22,22 +22,19 @@ tiny-step reference built on assembled-matrix matvecs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fast_apply import fast_algorithm, get_applier
-from .galerkin_oracle import assemble_exact_galerkin, assemble_quad_galerkin, \
-    assemble_square_sum
+from .galerkin_oracle import assemble_exact_galerkin, \
+    assemble_oscillator_diagonal, assemble_quad_galerkin, assemble_square_sum
 from .hermite_basis import gauss_hermite_rule
 from .index_set import CoeffVector, IndexSet, build_full, extend, restrict
-from .krylov_propagator import MagnusScheme, MatVec, lanczos, \
-    expm_tridiag_column, lanczos_exp_apply, propagate_magnus
+from .krylov_propagator import MagnusScheme, MatVec, lanczos_exp_apply, \
+    propagate_magnus
 from .potential_approx import ChebApprox, PotentialSpec, interpolate, \
     smooth_remainder
-
-MEASURE_QUADRATURE = "quadrature"
-MEASURE_REDUCTION = "reduction"
 
 
 def make_decay_vector(iset: IndexSet, beta: int, *,
@@ -58,41 +55,15 @@ def make_decay_vector(iset: IndexSet, beta: int, *,
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Componentwise error magnitudes over an index set, plus provenance."""
+    """Componentwise error magnitudes over an index set, in its canonical
+    ordering."""
 
     iset: IndexSet
     components: np.ndarray
-    metadata: Mapping[str, object]
 
     @property
     def max_norm(self) -> float:
         return float(np.max(self.components)) if self.components.size else 0.0
-
-    def write_csv(self, path) -> None:
-        cols = [f"k_{l + 1}" for l in range(self.iset.dim)] + ["magnitude"]
-        with open(path, "w", newline="\n") as fh:
-            for key in sorted(self.metadata):
-                fh.write(f"# {key}={self.metadata[key]}\n")
-            fh.write(f"# max_norm={self.max_norm:.17g}\n")
-            fh.write(",".join(cols) + "\n")
-            for row, mag in zip(self.iset.indices.tolist(), self.components):
-                fh.write(",".join(str(k) for k in row) + f",{mag:.17g}\n")
-
-
-def _report_metadata(iset: IndexSet, approx: ChebApprox, measure: str,
-                     **extra) -> dict:
-    md = {
-        "measure": measure,
-        "dim": iset.dim,
-        "bound": iset.bound,
-        "set_kind": iset.kind,
-        "set_size": iset.size,
-        "degree": approx.degree,
-        "halfwidth": approx.halfwidth,
-        "nterms": approx.nterms,
-    }
-    md.update(extra)
-    return md
 
 
 def quadrature_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
@@ -107,8 +78,7 @@ def quadrature_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
     wq = assemble_quad_galerkin(iset, approx, rule, force=force).matrix
     wx = assemble_exact_galerkin(iset, approx, force=force).matrix
     comp = np.abs((wx - wq) @ v.data)
-    return ErrorReport(iset, comp,
-                       _report_metadata(iset, approx, MEASURE_QUADRATURE))
+    return ErrorReport(iset, comp)
 
 
 def reduction_error(iset: IndexSet, approx: ChebApprox,
@@ -124,9 +94,7 @@ def reduction_error(iset: IndexSet, approx: ChebApprox,
     on_set = fast_algorithm(iset, approx, v)
     on_full = fast_algorithm(full, approx, extend(v, full))
     comp = np.abs(on_set.data - restrict(on_full, iset).data)
-    return ErrorReport(iset, comp,
-                       _report_metadata(iset, approx, MEASURE_REDUCTION,
-                                        full_size=full.size))
+    return ErrorReport(iset, comp)
 
 
 def reduction_local_mask(iset: IndexSet, approx: ChebApprox) -> np.ndarray:
@@ -195,6 +163,7 @@ class OracleHamiltonian:
     degree: int
     force: bool = False
     _terms: dict = field(default_factory=dict, repr=False)
+    _static: np.ndarray | None = field(default=None, repr=False)
 
     def term_matrix(self, tup: tuple[int, ...]) -> np.ndarray:
         mat = self._terms.get(tup)
@@ -213,16 +182,14 @@ class OracleHamiltonian:
     def matrix_at(self, t: float) -> np.ndarray:
         approx = interpolate(smooth_remainder(self.potential), self.degree,
                              time=t)
-        base = self._terms.get("static")
-        if base is None:
-            levels = (self.iset.indices + 0.5).sum(axis=1).astype(np.float64)
-            base = np.diag(levels)
+        if self._static is None:
+            base = assemble_oscillator_diagonal(self.iset).matrix
             q = self.potential.harmonic_part
             if q != 0.0:
                 base = base + q * assemble_square_sum(
                     self.iset, force=self.force).matrix
-            self._terms["static"] = base
-        out = base.copy()
+            self._static = base
+        out = self._static.copy()
         for tup, coeff in approx.terms:
             out += coeff * self.term_matrix(tup)
         return out

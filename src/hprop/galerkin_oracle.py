@@ -27,14 +27,8 @@ import numpy as np
 
 from .hermite_basis import eval_hermite_functions, gauss_hermite_rule, \
     QuadratureRule
-from .index_set import FULL, IndexSet, build_full
+from .index_set import IndexSet, build_full
 from .potential_approx import ChebApprox, chebyshev_recurrence
-
-TAG_COORDINATE = "coordinate"
-TAG_QUADRATURE = "quadrature"
-TAG_EXACT = "exact"
-TAG_DIAGONAL = "diagonal"
-TAG_HARMONIC = "harmonic"
 
 DEFAULT_DENSE_CAP = 20_000
 ENV_DENSE_CAP = "HPROP_DENSE_CAP"
@@ -62,20 +56,11 @@ def _check_cap(size: int, force: bool) -> None:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A dense matrix over an index set's canonical ordering."""
+    """A dense matrix over an index set's canonical ordering: entry (i, j)
+    couples the i-th and j-th members of ``iset``."""
 
     iset: IndexSet
     matrix: np.ndarray
-    tag: str
-    axis: int | None = None
-
-    def write_csv(self, path) -> None:
-        iset = self.iset
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# tag={self.tag} dim={iset.dim} bound={iset.bound} "
-                     f"kind={iset.kind} size={iset.size}\n")
-            for row in self.matrix:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def assemble_coordinate(iset: IndexSet, axis: int, *,
@@ -93,13 +78,13 @@ def assemble_coordinate(iset: IndexSet, axis: int, *,
     mat[rows[has_down], down[has_down]] = np.sqrt(jl[has_down] / 2.0)
     has_up = up >= 0
     mat[rows[has_up], up[has_up]] = np.sqrt((jl[has_up] + 1.0) / 2.0)
-    return DenseOperator(iset, mat, TAG_COORDINATE, axis)
+    return DenseOperator(iset, mat)
 
 
 def assemble_oscillator_diagonal(iset: IndexSet) -> DenseOperator:
     """diag(sum_l (j_l + 1/2)), the kinetic-plus-confinement part."""
     levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
-    return DenseOperator(iset, np.diag(levels), TAG_DIAGONAL)
+    return DenseOperator(iset, np.diag(levels))
 
 
 def assemble_square_sum(iset: IndexSet, *, force: bool = False) -> DenseOperator:
@@ -124,7 +109,7 @@ def assemble_square_sum(iset: IndexSet, *, force: bool = False) -> DenseOperator
         has_down = (down2 >= 0) & (iset.indices[:, axis - 1] >= 2)
         mat[rows[has_down], down2[has_down]] += \
             np.sqrt(jl[has_down] * (jl[has_down] - 1.0)) / 2.0
-    return DenseOperator(iset, mat, TAG_HARMONIC)
+    return DenseOperator(iset, mat)
 
 
 def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
@@ -167,18 +152,18 @@ def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
 def assemble_with_rule(iset: IndexSet, approx: ChebApprox,
                        rule: QuadratureRule, *,
                        force: bool = False) -> DenseOperator:
-    """Assembly under an arbitrary rule order, for diagnostics.
+    """Assembly under an arbitrary rule order.
 
     No exactness or matching guarantees; ``assemble_quad_galerkin`` and
-    ``assemble_exact_galerkin`` are the two meaningful special cases, this
-    entry point exists so mismatched orders can be demonstrated to fail.
+    ``assemble_exact_galerkin`` are the two meaningful special cases and
+    call this after checking their rule order.  Called directly, it lets
+    mismatched orders be demonstrated to fail.
     """
     if approx.dim != iset.dim:
         raise ValueError(f"surrogate dimension {approx.dim} does not match "
                          f"index set dimension {iset.dim}")
     _check_cap(iset.size, force)
-    return DenseOperator(iset, _quadrature_assembly(iset, approx, rule),
-                         TAG_QUADRATURE)
+    return DenseOperator(iset, _quadrature_assembly(iset, approx, rule))
 
 
 def assemble_quad_galerkin(iset: IndexSet, approx: ChebApprox,
@@ -206,18 +191,13 @@ def assemble_exact_galerkin(iset: IndexSet, approx: ChebApprox, *,
     product exactly (degree <= 2K + R <= 2 (K + R) + 1); ``rule_order`` can
     push the order higher for self-consistency checks.
     """
-    if approx.dim != iset.dim:
-        raise ValueError(f"surrogate dimension {approx.dim} does not match "
-                         f"index set dimension {iset.dim}")
     if rule_order is None:
         rule_order = iset.bound + approx.degree
     if rule_order < iset.bound + (approx.degree + 1) // 2:
         raise ValueError(f"rule order {rule_order} cannot integrate degree "
                          f"{2 * iset.bound + approx.degree} exactly")
-    _check_cap(iset.size, force)
-    rule = gauss_hermite_rule(rule_order)
-    return DenseOperator(iset, _quadrature_assembly(iset, approx, rule),
-                         TAG_EXACT)
+    return assemble_with_rule(iset, approx, gauss_hermite_rule(rule_order),
+                              force=force)
 
 
 def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:

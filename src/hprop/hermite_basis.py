@@ -26,9 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_NEWTON_FTOL = 1e-14
-_NEWTON_MAXIT = 50
-
 
 def eval_hermite_functions(x, max_order: int, scaling: float = 1.0) -> np.ndarray:
     """Values phi_k(scaling * x) for k = 0..max_order.
@@ -53,18 +50,6 @@ def eval_hermite_functions(x, max_order: int, scaling: float = 1.0) -> np.ndarra
     return out[:, 0] if scalar else out
 
 
-def _phi_pair(z: float, n: int) -> tuple[float, float]:
-    # scalar recurrence returning (phi_n(z), phi_{n-1}(z)); n >= 1
-    p0 = math.pi ** (-0.25) * math.exp(-0.5 * z * z)
-    p1 = math.sqrt(2.0) * z * p0
-    if n == 1:
-        return p1, p0
-    for k in range(1, n):
-        p0, p1 = p1, (math.sqrt(2.0 / (k + 1)) * z * p1
-                      - math.sqrt(k / (k + 1.0)) * p0)
-    return p1, p0
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Hermite rule of a given order with M+1 nodes.
@@ -79,59 +64,31 @@ class QuadratureRule:
     weights: np.ndarray
     modified_weights: np.ndarray
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# order={self.order}\n")
-            fh.write("m,xi,w,omega\n")
-            for m, (xi, w, om) in enumerate(
-                    zip(self.nodes, self.weights, self.modified_weights)):
-                fh.write(f"{m},{xi:.17g},{w:.17g},{om:.17g}\n")
-
 
 @lru_cache(maxsize=128)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gauss-Hermite quadrature of the given order (order+1 nodes).
 
-    Nodes are found by Newton iteration on phi_{order+1}, walking in from the
-    largest root with asymptotic initial guesses; +-symmetry halves the work.
-    Weights come from the derivative identity
-    phi'_{n}(xi) = sqrt(2n) phi_{n-1}(xi) at a root, giving
+    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+    the Hermite recurrence, off-diagonal sqrt(k/2) for k = 1..order (Golub &
+    Welsch, Math. Comp. 23, 1969), polished by one vectorized Newton step on
+    phi_{order+1} and symmetrized about 0.  Weights come from the derivative
+    identity phi'_{n}(xi) = sqrt(2n) phi_{n-1}(xi) at a root, giving
     omega = 2 / phi'_n(xi)**2 directly, with no overflow-prone factorials.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     n = order + 1
-    half = n // 2
-    roots: list[float] = []  # positive roots, largest first
-    for i in range(half):
-        if i == 0:
-            a = 2.0 * n + 1.0
-            z = math.sqrt(a) - 1.85575 * a ** (-1.0 / 6.0)
-        elif i == 1:
-            z = roots[0] - 1.14 * n ** 0.426 / roots[0]
-        elif i == 2:
-            z = 1.86 * roots[1] - 0.86 * roots[0]
-        elif i == 3:
-            z = 1.91 * roots[2] - 0.91 * roots[1]
-        else:
-            z = 2.0 * roots[i - 1] - roots[i - 2]
-        for _ in range(_NEWTON_MAXIT):
-            f, fm1 = _phi_pair(z, n)
-            slope = math.sqrt(2.0 * n) * fm1 - z * f
-            dz = f / slope
-            z -= dz
-            if abs(f) <= _NEWTON_FTOL or abs(dz) <= 1e-15 * max(1.0, abs(z)):
-                break
-        else:
-            raise RuntimeError(
-                f"Gauss-Hermite node {i} of order {order} failed to converge "
-                f"within {_NEWTON_MAXIT} Newton iterations")
-        roots.append(z)
-    nodes = np.empty(n, dtype=np.float64)
-    nodes[:half] = -np.asarray(roots)          # ascending negatives
-    if n % 2 == 1:
-        nodes[half] = 0.0                      # center root is exact
-    nodes[n - half:] = np.asarray(roots)[::-1]
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    nodes = np.linalg.eigvalsh(np.diag(off, -1))
+    table = eval_hermite_functions(nodes, n)
+    if table[0, -1] == 0.0:
+        # from order 765 on phi_0 underflows at the outer nodes, and with
+        # it every phi_k there
+        raise ValueError(f"Gauss-Hermite rule of order {order} exceeds the "
+                         f"double-precision range of the Hermite functions")
+    nodes -= table[n] / (math.sqrt(2.0 * n) * table[n - 1] - nodes * table[n])
+    nodes = 0.5 * (nodes - nodes[::-1])
     # derivative of phi_n at every node in one vectorized pass
     table = eval_hermite_functions(nodes, n)
     dphi = math.sqrt(2.0 * n) * table[n - 1] - nodes * table[n]

@@ -19,8 +19,7 @@ search over the set's row keys (:meth:`IndexSet.locate`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -273,40 +272,6 @@ class CoeffVector:
     def size(self) -> int:
         return self.data.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def copy(self) -> "CoeffVector":
-        return CoeffVector(self.iset, self.data.copy())
-
-    def write_csv(self, path) -> None:
-        iset = self.iset
-        cols = [f"k_{l + 1}" for l in range(iset.dim)] + ["re", "im"]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row, val in zip(iset.indices.tolist(), self.data):
-                c = complex(val)
-                fh.write(",".join(str(k) for k in row)
-                         + f",{c.real:.17g},{c.imag:.17g}\n")
-
-
-def read_coeff_csv(path, iset: IndexSet) -> CoeffVector:
-    """Read a vector written by :meth:`CoeffVector.write_csv` back onto a set."""
-    with open(path) as fh:
-        if not fh.readline().startswith("k_1"):
-            raise ValueError("malformed coefficient CSV header")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    rows = table[:, :iset.dim].astype(np.int64)
-    pos = iset.locate(rows)
-    if np.any(pos < 0):
-        raise KeyError(f"index {tuple(rows[np.argmin(pos)].tolist())} "
-                       "not in set")
-    if len(pos) != iset.size:
-        raise ValueError(f"CSV holds {len(pos)} rows, set has {iset.size}")
-    data = np.zeros(iset.size, dtype=np.complex128)
-    data[pos] = table[:, -2] + 1j * table[:, -1]
-    return CoeffVector(iset, data)
-
 
 def _check_cube(subset: IndexSet, full: IndexSet) -> None:
     """restrict/extend map between a set and the full cube of its dim/bound."""
@@ -330,32 +295,3 @@ def extend(v: CoeffVector, full: IndexSet) -> CoeffVector:
     out = np.zeros(full.size, dtype=v.data.dtype)
     out[full.locate(v.iset.indices)] = v.data
     return CoeffVector(full, out)
-
-
-# -- plain-text serialization ---------------------------------------------------
-
-
-def save_index_set(iset: IndexSet, path) -> None:
-    """Write ``dim bound kind size`` then one index per line."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{iset.dim} {iset.bound} {iset.kind} {iset.size}\n")
-        for row in iset.indices.tolist():
-            fh.write(" ".join(str(c) for c in row) + "\n")
-
-
-def load_index_set(path) -> IndexSet:
-    text = Path(path).read_text().split("\n")
-    head = text[0].split()
-    if len(head) != 4:
-        raise ValueError("malformed index-set header")
-    dim, bound, kind, size = int(head[0]), int(head[1]), head[2], int(head[3])
-    rows = [tuple(int(c) for c in line.split())
-            for line in text[1:] if line.strip()]
-    if len(rows) != size:
-        raise ValueError(f"header promises {size} indices, file has {len(rows)}")
-    out = from_indices(rows, dim=dim, kind=kind)
-    if out.bound > bound:
-        raise ValueError("stored indices exceed the recorded bound")
-    # full/hyperbolic sets may have bound larger than max component only for
-    # degenerate cases; trust the header, it is part of the set's identity
-    return IndexSet(dim, bound, kind, out.indices)

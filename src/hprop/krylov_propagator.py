@@ -19,7 +19,7 @@ four operator applications per Krylov matvec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -203,15 +203,6 @@ class ChebApprox:
     def nterms(self) -> int:
         return self.coeffs.shape[0]
 
-    def write_csv(self, path) -> None:
-        cols = [f"r_{l + 1}" for l in range(self.dim)] + ["alpha"]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# dim={self.dim} degree={self.degree} "
-                     f"halfwidth={self.halfwidth:.17g} time={self.time:.17g}\n")
-            fh.write(",".join(cols) + "\n")
-            for row, a in zip(self.degrees.tolist(), self.coeffs):
-                fh.write(",".join(str(r) for r in row) + f",{a:.17g}\n")
-
 
 def _validation_points(dim: int, halfwidth: float) -> np.ndarray:
     if dim == 1:

@@ -94,20 +94,6 @@ def test_local_mask_identifies_interior():
         assert mask[i] == inside
 
 
-def test_error_report_csv(tmp_path):
-    iset = build_hyperbolic(2, 10)
-    approx = interpolate(torsional(2), 4)
-    rep = quadrature_error(iset, approx, make_decay_vector(iset, 3))
-    path = tmp_path / "report.csv"
-    rep.write_csv(path)
-    lines = path.read_text().splitlines()
-    header = [ln for ln in lines if ln.startswith("#")]
-    assert any(ln.startswith("# measure=quadrature") for ln in header)
-    assert any(ln.startswith("# max_norm=") for ln in header)
-    assert lines[len(header)] == "k_1,k_2,magnitude"
-    assert len(lines) == len(header) + 1 + iset.size
-
-
 # -- Hamiltonian factories ----------------------------------------------------
 
 

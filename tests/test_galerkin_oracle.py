@@ -141,12 +141,3 @@ def test_diagonalization_residuals_small():
     assert diag_res < 1e-10
     with pytest.raises(ValueError, match="limited"):
         verify_diagonalization(120, 2)
-
-
-def test_operator_csv_header(tmp_path):
-    iset = build_hyperbolic(2, 6)
-    op = assemble_oscillator_diagonal(iset)
-    path = tmp_path / "op.csv"
-    op.write_csv(path)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("# tag=diagonal dim=2 bound=6")

@@ -9,11 +9,8 @@ from hprop import (
     build_hyperbolic,
     extend,
     from_indices,
-    load_index_set,
     neighbor,
-    read_coeff_csv,
     restrict,
-    save_index_set,
 )
 
 # sizes of the product-weighted sets, dim 2, worked out by brute force once
@@ -177,23 +174,3 @@ def test_coeff_vector_rejects_bad_data():
         CoeffVector(iset, np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
         CoeffVector(iset, np.array([0.0, np.nan, 0.0, 0.0]))
-
-
-def test_index_set_save_load(tmp_path):
-    iset = build_hyperbolic(3, 7)
-    path = tmp_path / "set.txt"
-    save_index_set(iset, path)
-    loaded = load_index_set(path)
-    assert loaded.dim == iset.dim
-    assert np.array_equal(loaded.indices, iset.indices)
-
-
-def test_coeff_csv_roundtrip(tmp_path, rng):
-    iset = build_hyperbolic(2, 8)
-    v = CoeffVector(iset, rng.standard_normal(iset.size))
-    path = tmp_path / "coeffs.csv"
-    v.write_csv(path)
-    back = read_coeff_csv(path, iset)
-    assert np.max(np.abs(back.data - v.data)) < 1e-15
-    raw = path.read_bytes()
-    assert b"\r" not in raw

@@ -1,8 +1,11 @@
-"""Modules of the package use each other only through public names.
+"""Modules of the package use each other only through public names, and
+only the CLI writes files.
 
 A ``_``-prefixed name is private to the module or object that defines it:
 no module imports one from another hprop module, and no code reads one off
 anything but ``self`` or ``cls``.  Dunder names are protocol, not private.
+The program's one output format is the CLI's CSV, so no other module opens
+or writes a file.
 """
 
 import ast
@@ -34,6 +37,21 @@ def private_uses(path):
     return found
 
 
+def file_writes(path):
+    """(line, text) of every ``open(...)``, ``.open(...)``, ``.write_text``
+    or ``.write_bytes`` call in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if ((isinstance(func, ast.Name) and func.id == "open")
+                or (isinstance(func, ast.Attribute) and func.attr in (
+                    "open", "write_text", "write_bytes"))):
+            found.append((node.lineno, ast.unparse(func)))
+    return sorted(found)
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"index_set.py", "fast_apply.py",
                                          "potential_approx.py", "cli.py"}
@@ -57,3 +75,22 @@ def test_checker_flags_private_imports_and_attribute_reads(tmp_path):
     assert private_uses(probe) == [
         (1, "import _hidden"), (2, "import _other"),
         (5, "iset._derived"), (6, "type(self)._own")]
+
+
+def test_only_the_cli_writes_files():
+    offences = [f"{path.name}:{line}: {text}" for path in SOURCES
+                if path.name != "cli.py" for line, text in file_writes(path)]
+    assert offences == []
+
+
+def test_checker_flags_file_opens_and_writes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(path, fh, arr):\n"
+        "    with open(path, 'w') as out:\n"
+        "        out.write('x')\n"
+        "    path.write_text('x'); path.write_bytes(b'x')\n"
+        "    fh.write('x'); path.open().read()\n")
+    assert file_writes(probe) == [
+        (2, "open"), (4, "path.write_bytes"), (4, "path.write_text"),
+        (5, "path.open")]

@@ -188,16 +188,6 @@ def test_potential_spec_call_shapes():
         spec(np.zeros((3, 3)))
 
 
-def test_approx_csv_dump(tmp_path):
-    approx = interpolate(torsional(2), 4)
-    path = tmp_path / "surrogate.csv"
-    approx.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# dim=2 degree=4")
-    assert lines[1] == "r_1,r_2,alpha"
-    assert len(lines) == 2 + approx.nterms
-
-
 # -- the blocked interpolation grid -------------------------------------------
 
 
