@@ -2,8 +2,9 @@
 
 Runs the driven anharmonic benchmark at K=40 with the order-2 midpoint
 scheme over h = 1/10 .. 1/160, then the order-4 two-stage Gauss scheme at
-h = 1/10.  Each run rebuilds the assembled-matrix reference (about a
-minute apiece at the defaults), so expect a few minutes total.
+h = 1/10.  Each run rebuilds the assembled-matrix reference, which doubles
+its gl2 step count until it is converged to 1e-12 (about 2 s at the
+defaults).
 """
 
 import sys

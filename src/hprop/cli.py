@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .error_lab import lanczos_perturbation_error, make_decay_vector, \
-    propagate_and_compare, quadrature_error, reduction_error, \
-    reduction_local_mask
+from .error_lab import REFERENCE_TOL, lanczos_perturbation_error, \
+    make_decay_vector, propagate_and_compare, quadrature_error, \
+    reduction_error, reduction_local_mask
 from .fast_apply import get_applier
 from .galerkin_oracle import assemble_with_rule, dense_cap, \
     verify_diagonalization
@@ -152,11 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_fraction_list,
                    default=_fraction_list("1/10,1/20,1/40,1/80,1/160"),
                    help="comma list of step sizes as fractions")
-    p.add_argument("--reference-steps", type=_positive_int, default=10_000,
-                   help="steps for the assembled-matrix reference (default "
-                        "10000)")
-    p.add_argument("--reference-lanczos", type=_positive_int, default=20,
-                   help="Krylov dimension of the reference (default 20)")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("verify", help="run numerical self-checks")
@@ -354,16 +349,14 @@ def cmd_propagate(args) -> int:
 
     def work(k: int):
         iset = build_hyperbolic(args.dims, k)
-        rows = propagate_and_compare(
-            iset, spec, args.degree, args.beta, scheme, step_counts,
-            args.lanczos, reference_steps=args.reference_steps,
-            reference_krylov=args.reference_lanczos)
+        rows = propagate_and_compare(iset, spec, args.degree, args.beta,
+                                     scheme, step_counts, args.lanczos)
         return [[args.dims, k, iset.size, args.scheme, args.lanczos,
                  str(Fraction(1, r.nsteps)), r.step, r.scheme_error,
                  r.perturbation_error] for r in rows]
 
     rows = [row for k in args.kmax for row in work(k)]
-    _emit(args, _meta(args),
+    _emit(args, _meta(args, reference_tol=REFERENCE_TOL),
           ["dim", "bound", "set_size", "scheme", "krylov_steps", "step",
            "step_value", "scheme_error", "perturbation_error"], rows)
     return EXIT_OK

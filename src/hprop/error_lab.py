@@ -15,8 +15,9 @@ measures each of them in isolation on decay-profile test vectors:
   computed propagator away from the one built on the assembled matrix.
 
 The propagation study at the end combines them: it marches the coefficient
-ODE with fast matvecs inside a Magnus-Krylov stepper and compares against a
-tiny-step reference built on assembled-matrix matvecs.
+ODE over [0, 1] with fast matvecs in a Magnus-Krylov stepper, against an
+assembled-matrix gl2 reference whose step count doubles from 20 until two
+successive endpoints agree to 1e-12 relative; past 10 240, RuntimeError.
 """
 
 from __future__ import annotations
@@ -280,30 +281,43 @@ class PropagationRow:
     perturbation_error: float
 
 
-def build_reference(iset: IndexSet, potential: PotentialSpec, degree: int,
-                    y0: np.ndarray, *, t0: float = 0.0, t1: float = 1.0,
-                    nsteps: int = 10_000, krylov_steps: int = 20,
-                    force: bool = False) -> np.ndarray:
-    """High-accuracy endpoint state for the coefficient ODE.
+REFERENCE_TOL = 1e-12
+REFERENCE_KRYLOV = 12
+REFERENCE_MIN_STEPS = 20
+REFERENCE_MAX_STEPS = 10_240
 
-    Fourth-order two-point Gauss stepping with tiny steps and a generous
-    Krylov space, driven by assembled-matrix matvecs so none of the fast
-    path's own error mechanisms contaminate the reference.
+
+def build_reference(iset: IndexSet, potential: PotentialSpec, degree: int,
+                    y0: np.ndarray, *, force: bool = False) -> np.ndarray:
+    """Endpoint at t = 1 from assembled-matrix gl2 steps, converged by doubling.
+
+    The step count doubles from REFERENCE_MIN_STEPS until two successive
+    endpoints agree within REFERENCE_TOL * max|y0| in the max norm; scheme
+    and Krylov error both shrink with the step, so that difference bounds
+    both.  Returns the finer endpoint; RuntimeError past REFERENCE_MAX_STEPS.
     """
     ham = OracleHamiltonian(iset, potential, degree, force=force)
-    return propagate_magnus(MagnusScheme.from_name("gl2"), ham.matvec_at,
-                            y0, t0, t1, nsteps, krylov_steps)
+    tol = REFERENCE_TOL * float(np.max(np.abs(y0)))
+    nsteps, coarse = REFERENCE_MIN_STEPS, None
+    while nsteps <= REFERENCE_MAX_STEPS:
+        fine = propagate_magnus(MagnusScheme.from_name("gl2"), ham.matvec_at,
+                                y0, 0.0, 1.0, nsteps, REFERENCE_KRYLOV)
+        if coarse is not None:
+            diff = float(np.max(np.abs(fine - coarse)))
+            if diff <= tol:
+                return fine
+        coarse, nsteps = fine, 2 * nsteps
+    raise RuntimeError(
+        f"reference did not converge: {nsteps // 2} and {nsteps // 4} gl2 "
+        f"steps differ by {diff:.3e}, above the tolerance {tol:.3e}")
 
 
 def propagate_and_compare(iset: IndexSet, potential: PotentialSpec,
                           degree: int, beta: int, scheme: MagnusScheme,
                           step_counts: Sequence[int], krylov_steps: int, *,
-                          t0: float = 0.0, t1: float = 1.0,
                           reference: np.ndarray | None = None,
-                          reference_steps: int = 10_000,
-                          reference_krylov: int = 20,
                           force: bool = False) -> list[PropagationRow]:
-    """March the ODE with fast matvecs and report endpoint errors per step.
+    """March the ODE over [0, 1] with fast matvecs; endpoint errors per step.
 
     For each step count the run is repeated with assembled-matrix matvecs
     under the same scheme; the max-norm distance between the two endpoint
@@ -312,20 +326,18 @@ def propagate_and_compare(iset: IndexSet, potential: PotentialSpec,
     """
     y0 = make_decay_vector(iset, beta).data.astype(np.complex128)
     if reference is None:
-        reference = build_reference(iset, potential, degree, y0, t0=t0, t1=t1,
-                                    nsteps=reference_steps,
-                                    krylov_steps=reference_krylov, force=force)
+        reference = build_reference(iset, potential, degree, y0, force=force)
     fast = FastHamiltonian(iset, potential, degree)
     oracle = OracleHamiltonian(iset, potential, degree, force=force)
     rows = []
     for nsteps in step_counts:
-        y_fast = propagate_magnus(scheme, fast.matvec_at, y0, t0, t1,
+        y_fast = propagate_magnus(scheme, fast.matvec_at, y0, 0.0, 1.0,
                                   nsteps, krylov_steps)
-        y_plain = propagate_magnus(scheme, oracle.matvec_at, y0, t0, t1,
+        y_plain = propagate_magnus(scheme, oracle.matvec_at, y0, 0.0, 1.0,
                                    nsteps, krylov_steps)
         rows.append(PropagationRow(
             nsteps=nsteps,
-            step=(t1 - t0) / nsteps,
+            step=1 / nsteps,
             scheme_error=float(np.max(np.abs(y_fast - reference))),
             perturbation_error=float(np.max(np.abs(y_fast - y_plain))),
         ))

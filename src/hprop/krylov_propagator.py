@@ -180,7 +180,7 @@ def magnus_step(scheme: MagnusScheme, ham_at: Callable[[float], MatVec],
 
 def propagate_magnus(scheme: MagnusScheme, ham_at: Callable[[float], MatVec],
                      y0: np.ndarray, t0: float, t1: float, nsteps: int,
-                     krylov_steps: int, *, reorthogonalize: bool = False,
+                     krylov_steps: int, *,
                      callback: Callable[[int, float, np.ndarray], None]
                      | None = None) -> np.ndarray:
     """March from t0 to t1 in nsteps equal steps; returns the final state."""
@@ -190,8 +190,7 @@ def propagate_magnus(scheme: MagnusScheme, ham_at: Callable[[float], MatVec],
     y = np.asarray(y0, dtype=np.complex128).copy()
     for k in range(nsteps):
         t = t0 + k * h
-        y, _ = magnus_step(scheme, ham_at, y, t, h, krylov_steps,
-                           reorthogonalize=reorthogonalize)
+        y, _ = magnus_step(scheme, ham_at, y, t, h, krylov_steps)
         if callback is not None:
             callback(k + 1, t + h, y)
     return y

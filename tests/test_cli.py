@@ -88,9 +88,7 @@ def test_perturb_sweeps_bounds_and_steps(capsys):
 
 def test_propagate_emits_one_row_per_step_size(capsys):
     code, out, _ = run(["propagate", "--kmax", "6", "--degree", "3",
-                        "--h", "1/2,1/4", "--lanczos", "4",
-                        "--reference-steps", "64",
-                        "--reference-lanczos", "8"], capsys)
+                        "--h", "1/2,1/4", "--lanczos", "4"], capsys)
     assert code == EXIT_OK
     header, columns, rows = parse_csv(out)
     assert header["scheme"] == "midpoint"
@@ -152,6 +150,8 @@ def test_usage_errors_exit_one(capsys):
         ["perturb", "--h", "nonsense"],
         ["perturb", "--h", "1/0"],
         ["propagate", "--scheme", "euler"],
+        ["propagate", "--reference-steps", "8"],
+        ["propagate", "--reference-lanczos", "4"],
         ["bench", "--jobs", "0"],
     ]
     for argv in cases:
@@ -173,10 +173,32 @@ def test_propagate_rejects_steps_that_do_not_tile_the_interval(capsys):
     assert "does not divide" in err
     # decimal spellings of valid fractions are fine
     code, _, _ = run(["propagate", "--kmax", "6", "--degree", "3",
-                      "--h", "0.5", "--lanczos", "3",
-                      "--reference-steps", "8",
-                      "--reference-lanczos", "4"], capsys)
+                      "--h", "0.5", "--lanczos", "3"], capsys)
     assert code == EXIT_OK
+
+
+def test_propagate_refuses_a_reference_that_does_not_converge(capsys,
+                                                              monkeypatch):
+    from hprop import build_hyperbolic, build_reference, \
+        henon_heiles_perturbed, make_decay_vector
+
+    argv = ["propagate", "--kmax", "6", "--degree", "3", "--h", "1/2"]
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert parse_csv(out)[0]["reference_tol"] == "1e-12"
+    # no two levels agree exactly, so doubling runs into its cap
+    monkeypatch.setattr("hprop.error_lab.REFERENCE_TOL", 0.0)
+    monkeypatch.setattr("hprop.error_lab.REFERENCE_MAX_STEPS", 80)
+    iset = build_hyperbolic(2, 6)
+    y0 = make_decay_vector(iset, 3).data.astype(complex)
+    with pytest.raises(RuntimeError, match="80 and 40 gl2 steps"):
+        build_reference(iset, henon_heiles_perturbed(2), 3, y0)
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: reference did not converge")
 
 
 def test_verify_detects_wrong_quadrature_order(capsys):

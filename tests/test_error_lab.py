@@ -7,18 +7,22 @@ from hprop import (
     OracleHamiltonian,
     build_full,
     build_hyperbolic,
+    build_reference,
     custom_potential,
+    henon_heiles_perturbed,
     interpolate,
     lanczos_perturbation_error,
     lanczos_truncation_error,
     make_decay_vector,
     propagate_and_compare,
+    propagate_magnus,
     quadrature_error,
     reduction_error,
     reduction_local_mask,
     torsional,
     torsional_minus_harmonic,
 )
+from hprop import error_lab
 
 
 def test_decay_vector_values_and_normalization():
@@ -169,11 +173,34 @@ def test_propagation_rows_structure_and_scheme_decay():
     spec = torsional_minus_harmonic(2)
     rows = propagate_and_compare(iset, spec, 8, 3,
                                  MagnusScheme.from_name("midpoint"),
-                                 [4, 8], 5,
-                                 reference_steps=256, reference_krylov=12)
+                                 [4, 8], 5)
     assert [r.nsteps for r in rows] == [4, 8]
     assert rows[0].step == pytest.approx(0.25)
     assert rows[1].scheme_error < rows[0].scheme_error
     for r in rows:
         assert r.perturbation_error > 0.0
     assert rows[0].perturbation_error < rows[0].scheme_error
+
+
+def test_reference_agrees_with_a_fixed_step_run_four_times_finer(monkeypatch):
+    # time dependence strong enough that doubling climbs several levels
+    iset = build_hyperbolic(2, 6)
+    ham = OracleHamiltonian(iset, henon_heiles_perturbed(2), 3)
+    y0 = make_decay_vector(iset, 3).data.astype(np.complex128)
+    levels = []
+
+    def spy(scheme, ham_at, y, t0, t1, nsteps, krylov_steps):
+        levels.append(nsteps)
+        return propagate_magnus(scheme, ham_at, y, t0, t1, nsteps,
+                                krylov_steps)
+
+    monkeypatch.setattr(error_lab, "propagate_magnus", spy)
+    reference = build_reference(iset, ham.potential, ham.degree, y0)
+    assert levels[0] == error_lab.REFERENCE_MIN_STEPS
+    assert len(levels) > 2
+    assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+    fine = propagate_magnus(MagnusScheme.from_name("gl2"), ham.matvec_at, y0,
+                            0.0, 1.0, 4 * levels[-1],
+                            error_lab.REFERENCE_KRYLOV)
+    tol = error_lab.REFERENCE_TOL * np.max(np.abs(y0))
+    assert np.max(np.abs(reference - fine)) <= 10 * tol
