@@ -41,6 +41,7 @@ from .potential_approx import (
     henon_heiles_perturbed,
     interpolate,
     potential_by_name,
+    separable_potential,
     smooth_remainder,
     torsional,
     torsional_minus_harmonic,

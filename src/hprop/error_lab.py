@@ -67,8 +67,8 @@ class ErrorReport:
         return float(np.max(self.components)) if self.components.size else 0.0
 
 
-def quadrature_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
-                     force: bool = False) -> ErrorReport:
+def quadrature_error(iset: IndexSet, approx: ChebApprox,
+                     v: CoeffVector) -> ErrorReport:
     """Components of (W_exact - W_quadrature) v on the given set.
 
     Both matrices come from the dense oracle; the quadrature one uses the
@@ -76,8 +76,8 @@ def quadrature_error(iset: IndexSet, approx: ChebApprox, v: CoeffVector, *,
     exact one an over-resolved rule that integrates every entry exactly.
     """
     rule = gauss_hermite_rule(iset.bound)
-    wq = assemble_quad_galerkin(iset, approx, rule, force=force).matrix
-    wx = assemble_exact_galerkin(iset, approx, force=force).matrix
+    wq = assemble_quad_galerkin(iset, approx, rule).matrix
+    wx = assemble_exact_galerkin(iset, approx).matrix
     comp = np.abs((wx - wq) @ v.data)
     return ErrorReport(iset, comp)
 
@@ -162,7 +162,6 @@ class OracleHamiltonian:
     iset: IndexSet
     potential: PotentialSpec
     degree: int
-    force: bool = False
     _terms: dict = field(default_factory=dict, repr=False)
     _static: np.ndarray | None = field(default=None, repr=False)
 
@@ -175,8 +174,7 @@ class OracleHamiltonian:
                 degrees=np.asarray([tup], dtype=np.int64),
                 coeffs=np.asarray([1.0]))
             rule = gauss_hermite_rule(self.iset.bound)
-            mat = assemble_quad_galerkin(self.iset, one, rule,
-                                         force=self.force).matrix
+            mat = assemble_quad_galerkin(self.iset, one, rule).matrix
             self._terms[tup] = mat
         return mat
 
@@ -187,8 +185,7 @@ class OracleHamiltonian:
             base = assemble_oscillator_diagonal(self.iset).matrix
             q = self.potential.harmonic_part
             if q != 0.0:
-                base = base + q * assemble_square_sum(
-                    self.iset, force=self.force).matrix
+                base = base + q * assemble_square_sum(self.iset).matrix
             self._static = base
         out = self._static.copy()
         for tup, coeff in approx.terms:
@@ -219,8 +216,7 @@ class PerturbationResult:
 def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
                                degree: int, beta: int, h: float,
                                krylov_steps: int, *, time: float = 0.0,
-                               with_bound: bool = False,
-                               force: bool = False) -> PerturbationResult:
+                               with_bound: bool = False) -> PerturbationResult:
     """Distance between Krylov exponentials built on oracle vs fast matvecs.
 
     Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 starting from
@@ -231,8 +227,7 @@ def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
     for small problems).
     """
     v = make_decay_vector(iset, beta).data.astype(np.complex128)
-    oracle = OracleHamiltonian(iset, potential, degree, force=force)
-    mat = oracle.matrix_at(time)
+    mat = OracleHamiltonian(iset, potential, degree).matrix_at(time)
     fast = FastHamiltonian(iset, potential, degree).matvec_at(time)
     u_plain, fac_plain = lanczos_exp_apply(lambda w: mat @ w, v, h,
                                            krylov_steps)
@@ -251,8 +246,8 @@ def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
 
 def lanczos_truncation_error(iset: IndexSet, potential: PotentialSpec,
                              degree: int, beta: int, h: float,
-                             krylov_steps: int, *, time: float = 0.0,
-                             force: bool = False) -> float:
+                             krylov_steps: int, *,
+                             time: float = 0.0) -> float:
     """Krylov error || V exp(-i h T) e_1 - exp(-i h A) v ||_2, oracle matvecs.
 
     The exact exponential comes from a dense eigendecomposition, so this is
@@ -260,8 +255,7 @@ def lanczos_truncation_error(iset: IndexSet, potential: PotentialSpec,
     off entirely.
     """
     v = make_decay_vector(iset, beta).data.astype(np.complex128)
-    mat = OracleHamiltonian(iset, potential, degree,
-                            force=force).matrix_at(time)
+    mat = OracleHamiltonian(iset, potential, degree).matrix_at(time)
     u_kry, _ = lanczos_exp_apply(lambda w: mat @ w, v, h, krylov_steps)
     evals, evecs = np.linalg.eigh(mat)
     u_exact = evecs @ (np.exp(-1j * h * evals) * (evecs.conj().T @ v))
@@ -288,7 +282,7 @@ REFERENCE_MAX_STEPS = 10_240
 
 
 def build_reference(iset: IndexSet, potential: PotentialSpec, degree: int,
-                    y0: np.ndarray, *, force: bool = False) -> np.ndarray:
+                    y0: np.ndarray) -> np.ndarray:
     """Endpoint at t = 1 from assembled-matrix gl2 steps, converged by doubling.
 
     The step count doubles from REFERENCE_MIN_STEPS until two successive
@@ -296,7 +290,7 @@ def build_reference(iset: IndexSet, potential: PotentialSpec, degree: int,
     and Krylov error both shrink with the step, so that difference bounds
     both.  Returns the finer endpoint; RuntimeError past REFERENCE_MAX_STEPS.
     """
-    ham = OracleHamiltonian(iset, potential, degree, force=force)
+    ham = OracleHamiltonian(iset, potential, degree)
     tol = REFERENCE_TOL * float(np.max(np.abs(y0)))
     nsteps, coarse = REFERENCE_MIN_STEPS, None
     while nsteps <= REFERENCE_MAX_STEPS:
@@ -315,8 +309,8 @@ def build_reference(iset: IndexSet, potential: PotentialSpec, degree: int,
 def propagate_and_compare(iset: IndexSet, potential: PotentialSpec,
                           degree: int, beta: int, scheme: MagnusScheme,
                           step_counts: Sequence[int], krylov_steps: int, *,
-                          reference: np.ndarray | None = None,
-                          force: bool = False) -> list[PropagationRow]:
+                          reference: np.ndarray | None = None
+                          ) -> list[PropagationRow]:
     """March the ODE over [0, 1] with fast matvecs; endpoint errors per step.
 
     For each step count the run is repeated with assembled-matrix matvecs
@@ -326,9 +320,9 @@ def propagate_and_compare(iset: IndexSet, potential: PotentialSpec,
     """
     y0 = make_decay_vector(iset, beta).data.astype(np.complex128)
     if reference is None:
-        reference = build_reference(iset, potential, degree, y0, force=force)
+        reference = build_reference(iset, potential, degree, y0)
     fast = FastHamiltonian(iset, potential, degree)
-    oracle = OracleHamiltonian(iset, potential, degree, force=force)
+    oracle = OracleHamiltonian(iset, potential, degree)
     rows = []
     for nsteps in step_counts:
         y_fast = propagate_magnus(scheme, fast.matvec_at, y0, 0.0, 1.0,

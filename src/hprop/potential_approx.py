@@ -5,15 +5,17 @@ surrogate
 
     W_pol(x, t) = sum_r alpha_r(t) * prod_l T_{r_l}(x_l / L),
 
-obtained by interpolation on a tensor grid of Chebyshev-Gauss points
+obtained by interpolation at the Chebyshev-Gauss points
 x_i = L * cos(pi (2i + 1) / (2R + 2)) per axis, where R is the maximal
-per-axis degree.  Coefficients below 1e-14 times the largest magnitude are
-dropped, so separable potentials keep only axis-aligned terms.  Time enters
-through the potential evaluator alone; a time-dependent problem simply
-re-interpolates at every requested t.
+per-axis degree.  A potential declared additively separable (``axis_term``)
+is interpolated in 1-D on those R+1 nodes, so its surrogate carries only
+axis-aligned terms and no (R+1)**dim grid is built.  Any other potential is
+evaluated on the full tensor grid.  On both routes coefficients below 1e-14
+times the largest magnitude are dropped.  Time enters through the potential
+alone; a time-dependent problem simply re-interpolates at every requested t.
 
 Evaluators must be pointwise: each output row depends only on its own
-input row.  ``interpolate`` calls one several times per instant, on
+input row.  The tensor route calls one several times per instant, on
 consecutive blocks of the (R+1)**dim grid of at most ``GRID_BLOCK`` points,
 and the points may arrive in any memory layout.
 
@@ -25,6 +27,8 @@ H = D + W with D the oscillator diagonal:
 * ``torsional-ho``   the same minus (1/2) sum_l x_l**2
 * ``henon-heiles``   chained cubic couplings with a sin(t)**2 drive on x_1,
                      minus the harmonic term
+
+The first two are declared separable; Henon-Heiles is not.
 """
 
 from __future__ import annotations
@@ -87,6 +91,12 @@ class PotentialSpec:
     code can apply that piece exactly and feed only the remainder to the
     polynomial surrogate; the huge Chebyshev coefficients of q x**2 (order
     q L**2 / 2) would otherwise dominate every reduction-error budget.
+
+    ``axis_term``, when set, declares the potential additively separable:
+    W(x, t) = sum_l w(x_l, t) with the same univariate w on every axis.  It
+    maps (coordinates, t) -> values elementwise, for coordinate arrays of
+    any shape, and ``interpolate`` then works from w alone.  Build such
+    specs with ``separable_potential``, which derives ``evaluator`` from w.
     """
 
     kind: str
@@ -94,6 +104,7 @@ class PotentialSpec:
     halfwidth: float
     evaluator: Callable[[np.ndarray, float], np.ndarray]
     harmonic_part: float = 0.0
+    axis_term: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -104,37 +115,52 @@ class PotentialSpec:
         return vals[0] if np.asarray(x).ndim == 1 else vals
 
 
+def separable_potential(axis_term, dim: int, halfwidth: float,
+                        kind: str = "separable",
+                        harmonic_part: float = 0.0) -> PotentialSpec:
+    """W(x, t) = sum_l w(x_l, t) for the elementwise univariate w = axis_term."""
+
+    def ev(pts, t):
+        return axis_term(pts, t).sum(axis=-1)
+
+    return PotentialSpec(kind, dim, float(halfwidth), ev, harmonic_part,
+                         axis_term)
+
+
 def smooth_remainder(spec: PotentialSpec) -> PotentialSpec:
     """The potential with its declared quadratic confinement removed."""
     if spec.harmonic_part == 0.0:
         return spec
     q = spec.harmonic_part
+    kind = spec.kind + "-remainder"
+    w = spec.axis_term
+    if w is not None:
+        return separable_potential(lambda x, t: w(x, t) - q * (x * x),
+                                   spec.dim, spec.halfwidth, kind)
     inner = spec.evaluator
 
     def ev(pts, t):
         return inner(pts, t) - q * (pts * pts).sum(axis=-1)
 
-    return PotentialSpec(spec.kind + "-remainder", spec.dim, spec.halfwidth,
-                         ev, 0.0)
+    return PotentialSpec(kind, spec.dim, spec.halfwidth, ev, 0.0)
 
 
 def torsional(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
     L = float(halfwidth)
 
-    def ev(pts, t):
-        return (1.0 - np.cos(pts / L)).sum(axis=-1)
+    def w(x, t):
+        return 1.0 - np.cos(x / L)
 
-    return PotentialSpec(TORSIONAL, dim, L, ev)
+    return separable_potential(w, dim, L, TORSIONAL)
 
 
 def torsional_minus_harmonic(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
     L = float(halfwidth)
 
-    def ev(pts, t):
-        return ((1.0 - np.cos(pts / L)).sum(axis=-1)
-                - 0.5 * (pts * pts).sum(axis=-1))
+    def w(x, t):
+        return 1.0 - np.cos(x / L) - 0.5 * (x * x)
 
-    return PotentialSpec(TORSIONAL_HO, dim, L, ev, harmonic_part=-0.5)
+    return separable_potential(w, dim, L, TORSIONAL_HO, harmonic_part=-0.5)
 
 
 def henon_heiles_perturbed(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
@@ -240,39 +266,63 @@ def _grid_values(evaluator, nodes: np.ndarray, dim: int,
     return vals
 
 
+def _finite(vals: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("potential evaluated to a non-finite value on the "
+                         "interpolation grid")
+    return vals
+
+
+def _significant(coeffs: np.ndarray) -> np.ndarray:
+    # all False when every coefficient is zero
+    return np.abs(coeffs) > DROP_THRESHOLD * float(np.max(np.abs(coeffs)))
+
+
+def _axis_terms(a: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # Surrogate of sum_l w(x_l) from the 1-D coefficients a of w, rows in
+    # lexicographic order: the constant dim * a_0, then a_1 .. a_R on the
+    # last axis, on the one before it, and so on to the first.
+    R = a.shape[0] - 1
+    degrees = np.zeros((1 + dim * R, dim), dtype=np.int64)
+    degrees[np.arange(1, 1 + dim * R), np.repeat(np.arange(dim)[::-1], R)] = \
+        np.tile(np.arange(1, R + 1), dim)
+    coeffs = np.concatenate([[dim * a[0]], np.tile(a[1:], dim)])
+    return degrees, coeffs
+
+
 def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebApprox:
     """Tensor Chebyshev-Gauss interpolation of ``spec`` at one instant.
 
     ``degree`` is the maximal per-axis degree R; each axis carries R+1 nodes
     L*cos(pi (2i+1) / (2R+2)).  Coefficients come from the discrete cosine
-    orthogonality of the node family, applied axis by axis.
+    orthogonality of the node family, applied axis by axis.  A separable
+    spec evaluates its ``axis_term`` on the R+1 nodes of one axis only; any
+    other is evaluated on the whole (R+1)**dim grid, which is size-checked
+    before the first evaluation.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     R, N, L = degree, spec.dim, spec.halfwidth
     n = R + 1
-    check_size(n ** N, "interpolation grid points")
     theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
-    y = np.cos(theta)
-    vals = _grid_values(spec.evaluator, L * y, N, float(time))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("potential evaluated to a non-finite value on the "
-                         "interpolation grid")
-    tensor = vals.reshape((n,) * N)
     # C[k, i] = (2 - delta_{k0})/n * cos(k * theta_i)
     C = np.cos(np.arange(n)[:, None] * theta[None, :]) * (2.0 / n)
     C[0] *= 0.5
-    coeffs = tensor
-    for _ in range(N):
-        coeffs = np.tensordot(coeffs, C, axes=([0], [1]))
-    amax = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if amax == 0.0:
-        degrees = np.zeros((0, N), dtype=np.int64)
-        kept = np.zeros(0, dtype=np.float64)
+    nodes = L * np.cos(theta)
+    if spec.axis_term is not None:
+        w = np.asarray(spec.axis_term(nodes, float(time)), dtype=np.float64)
+        degrees, coeffs = _axis_terms(C @ _finite(w), N)
+        mask = _significant(coeffs)
+        degrees = degrees[mask]
     else:
-        mask = np.abs(coeffs) > DROP_THRESHOLD * amax
+        check_size(n ** N, "interpolation grid points")
+        vals = _grid_values(spec.evaluator, nodes, N, float(time))
+        coeffs = _finite(vals).reshape((n,) * N)
+        for _ in range(N):
+            coeffs = np.tensordot(coeffs, C, axes=([0], [1]))
+        mask = _significant(coeffs)
         degrees = np.argwhere(mask).astype(np.int64)     # lexicographic
-        kept = coeffs[mask]
+    kept = coeffs[mask]
     degrees.setflags(write=False)
     kept.setflags(write=False)
     return ChebApprox(N, R, L, float(time), degrees, kept)

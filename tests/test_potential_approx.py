@@ -15,6 +15,7 @@ from hprop import (
     henon_heiles_perturbed,
     interpolate,
     potential_by_name,
+    separable_potential,
     smooth_remainder,
     torsional,
     torsional_minus_harmonic,
@@ -234,8 +235,9 @@ def test_blocked_grid_matches_whole_grid_interpolation(spec, degree, blocks):
         calls.append(pts.shape[0])
         return spec.evaluator(pts, t)
 
-    got = interpolate(dataclasses.replace(spec, evaluator=counted), degree,
-                      time=0.3)
+    # clearing the separable declaration keeps the bundled specs on the grid
+    got = interpolate(dataclasses.replace(spec, evaluator=counted,
+                                          axis_term=None), degree, time=0.3)
     assert len(calls) == blocks
     want = meshgrid_interpolate(spec, degree, 0.3)
     assert np.array_equal(got.degrees, want.degrees)
@@ -286,3 +288,104 @@ def test_evaluator_that_writes_its_argument_gives_the_same_surrogate():
     assert np.array_equal(got.degrees, want.degrees)
     assert np.array_equal(got.coeffs, want.coeffs)
     assert fit_error(in_place_spec, got) == fit_error(pure_spec, want)
+
+
+# -- the separable route ------------------------------------------------------
+
+
+SEPARABLE = [
+    torsional,
+    torsional_minus_harmonic,
+    lambda dim: smooth_remainder(torsional_minus_harmonic(dim)),
+    lambda dim: separable_potential(lambda x, t: np.exp(-x * x / 40.0 - t),
+                                    dim, 8.0),
+]
+ULP = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("make", SEPARABLE)
+def test_separable_surrogates_have_no_mixed_terms(make):
+    # the torsional-ho remainder once kept rounding noise of the cancelled
+    # x**2 as (2, 2, 2)-type terms on the tensor grid
+    for dim in (1, 2, 3, 6):
+        spec = make(dim)
+        for degree in (0, 3, 8):
+            for t in (0.0, 0.3):
+                approx = interpolate(spec, degree, time=t)
+                active = (approx.degrees > 0).sum(axis=1)
+                assert np.all(active <= 1), (dim, degree, t,
+                                             approx.degrees[active > 1])
+        assert spec.axis_term is not None
+
+
+def separable_approx_per_axis(approx):
+    # dense (dim, R+1) coefficients of w on each axis; the constant is split
+    dense = np.zeros((approx.dim, approx.degree + 1))
+    dense[:, 0] = dict(approx.terms)[(0,) * approx.dim] / approx.dim
+    for row, a in zip(approx.degrees, approx.coeffs):
+        for l in np.flatnonzero(row):
+            dense[l, row[l]] = a
+    return dense
+
+
+@pytest.mark.parametrize("make", SEPARABLE)
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_axis_coefficients_match_chebinterpolate(make, dim):
+    # numpy takes T_k at its nodes from the recurrence, the interpolation
+    # from cos(k theta), so the two agree to rounding growing with k.
+    # Degree 0 is left out: numpy's single node is exactly 0, ours
+    # L * cos(pi / 2) ~ 1e-15, and every w here vanishes to rounding there.
+    spec = make(dim)
+    L = spec.halfwidth
+    for degree in (1, 3, 8):
+        approx = interpolate(spec, degree, time=0.3)
+        ref = C.chebinterpolate(lambda y: spec.axis_term(L * y, 0.3), degree)
+        tol = 32 * ULP * float(np.max(np.abs(ref)))
+        amax = float(np.max(np.abs(approx.coeffs)))
+        kept = np.zeros(degree + 1, dtype=bool)
+        kept[approx.degrees.max(axis=1)] = True
+        for per_axis in separable_approx_per_axis(approx):
+            assert np.all(np.abs(per_axis - ref)[kept] <= tol)
+            # what was dropped is below the drop threshold
+            assert np.all(np.abs(ref[~kept]) <= DROP_THRESHOLD * amax + tol)
+
+
+@pytest.mark.parametrize("make", SEPARABLE)
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_separable_route_matches_tensor_route(make, dim):
+    spec = make(dim)
+    grid_spec = custom_potential(spec.evaluator, dim, spec.halfwidth)
+    for degree in (0, 3, 8):
+        got = interpolate(spec, degree, time=0.3)
+        want = interpolate(grid_spec, degree, time=0.3)
+        # the tensor route may also keep mixed rounding noise of the sum
+        mixed = (want.degrees > 0).sum(axis=1) >= 2
+        scale = float(np.max(np.abs(want.coeffs), initial=0.0))
+        assert np.all(np.abs(want.coeffs[mixed]) <= 1e-13 * scale)
+        assert np.array_equal(got.degrees, want.degrees[~mixed])
+        assert np.max(np.abs(got.coeffs - want.coeffs[~mixed]),
+                      initial=0.0) <= 1e-13 * scale
+
+
+def test_separable_spec_beyond_the_grid_ceiling_never_builds_the_grid():
+    def spy(pts, t):
+        raise AssertionError("the N-D evaluator must not be called")
+
+    spec = torsional(9)     # its grid at degree 8 would hold 387420489 points
+    got = interpolate(dataclasses.replace(spec, evaluator=spy), 8)
+    assert got.nterms == 1 + 9 * 4
+    assert np.all((got.degrees > 0).sum(axis=1) <= 1)
+    want = interpolate(torsional(1), 8)
+    assert got.coeffs[0] == 9 * want.coeffs[0]
+    assert np.array_equal(got.coeffs[1:], np.tile(want.coeffs[1:], 9))
+    assert not got.degrees.flags.writeable and not got.coeffs.flags.writeable
+
+
+def test_separable_potential_evaluates_the_axis_sum(rng):
+    spec = separable_potential(lambda x, t: np.sin(x + t), 3, 4.0, kind="s")
+    pts = rng.uniform(-4, 4, size=(20, 3))
+    assert np.array_equal(spec(pts, 0.5), np.sin(pts + 0.5).sum(axis=1))
+    rem = smooth_remainder(dataclasses.replace(spec, harmonic_part=0.25))
+    assert rem.axis_term is not None and rem.harmonic_part == 0.0
+    assert np.max(np.abs(rem(pts, 0.5) - spec(pts, 0.5)
+                         + 0.25 * (pts ** 2).sum(axis=1))) < 1e-13
