@@ -13,8 +13,6 @@ The package splits into small layers:
 """
 
 from .index_set import (
-    FULL,
-    HYPERBOLIC,
     CoeffVector,
     IndexSet,
     build_full,

@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hprop", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, beta=5, degree=8, kmax="25,50,75", potential="torsional"):
+    def common(p, *, beta=None, seed=False, scale=False, degree=8,
+               kmax="25,50,75", potential="torsional"):
+        """Options shared by the subcommands; each adds only those it reads."""
         p.add_argument("--dims", type=_positive_int, default=2,
                        help="number of spatial dimensions (default 2)")
         p.add_argument("--kmax", type=_int_list, default=_int_list(kmax),
@@ -110,30 +112,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"surrogate polynomial degree (default {degree})")
         p.add_argument("--halfwidth", type=float, default=16.0,
                        help="box half width L (default 16)")
-        p.add_argument("--scale", type=float, default=1.0,
-                       help="basis dilation S (default 1)")
-        p.add_argument("--beta", type=_positive_int, default=beta,
-                       help=f"decay exponent of test vectors (default {beta})")
+        if scale:
+            p.add_argument("--scale", type=float, default=1.0,
+                           help="basis dilation S (default 1)")
+        if beta is not None:
+            p.add_argument("--beta", type=_positive_int, default=beta,
+                           help=f"decay exponent of test vectors "
+                                f"(default {beta})")
         p.add_argument("--potential", default=potential,
                        choices=["torsional", "torsional-ho", "henon-heiles"],
                        help=f"potential kind (default {potential})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="PRNG seed for random vectors (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="PRNG seed for random vectors (default 0)")
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")
 
     p = sub.add_parser("bench", help="time fast apply vs dense oracle")
-    common(p, kmax="20,40,60")
+    common(p, seed=True, scale=True, kmax="20,40,60")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("quaderr", help="quadrature error study")
-    common(p)
+    common(p, beta=5, scale=True)
     p.set_defaults(func=cmd_quaderr)
 
     p = sub.add_parser("rederr", help="index set reduction error study")
-    common(p)
+    common(p, beta=5, scale=True)
     p.set_defaults(func=cmd_rederr)
 
+    # perturb and propagate split off the undilated oscillator, so no --scale
     p = sub.add_parser("perturb", help="Krylov perturbation error study")
     common(p, beta=3, kmax="10,20,30,40", potential="torsional-ho")
     p.add_argument("--lanczos", type=_positive_int, default=5,
@@ -155,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("verify", help="run numerical self-checks")
-    common(p, kmax="10")
+    common(p, seed=True, scale=True, kmax="10")
     p.add_argument("--rule-offset", type=int, default=0,
                    help="offset added to the quadrature order in the "
                         "equivalence check (nonzero breaks it; default 0)")
@@ -217,7 +224,8 @@ def _meta(args, **extra) -> dict:
 
 def _warn_support(args) -> None:
     for k in args.kmax:
-        chk = check_support_condition(args.scale, args.halfwidth, k)
+        chk = check_support_condition(getattr(args, "scale", 1.0),
+                                      args.halfwidth, k)
         if not chk.ok:
             print(chk.message(), file=sys.stderr)
 
@@ -308,10 +316,6 @@ def cmd_rederr(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    if args.scale != 1.0:
-        print("perturb assumes the undilated oscillator splitting; "
-              "--scale must be 1", file=sys.stderr)
-        return EXIT_USAGE
     _warn_support(args)
     spec = potential_by_name(args.potential, args.dims, args.halfwidth)
     points = [(k, h) for k in args.kmax for h in args.h]
@@ -332,10 +336,6 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    if args.scale != 1.0:
-        print("propagate assumes the undilated oscillator splitting; "
-              "--scale must be 1", file=sys.stderr)
-        return EXIT_USAGE
     _warn_support(args)
     spec = potential_by_name(args.potential, args.dims, args.halfwidth)
     scheme = MagnusScheme.from_name(args.scheme)

@@ -14,8 +14,8 @@ at most 2K + R times the Gaussian, so the quadrature is exact and the result
 is the true Galerkin matrix of the surrogate.
 
 Assembly cost is O(size**2 * nterms * M * dim) and is guarded by a size cap,
-20000 rows by default, overridable per call (``force``) or process-wide via
-the ``HPROP_DENSE_CAP`` environment variable.
+20000 rows by default, set only through the ``HPROP_DENSE_CAP`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ def dense_cap() -> int:
             from None
 
 
-def _check_cap(size: int, force: bool) -> None:
+def _check_cap(size: int) -> None:
     cap = dense_cap()
-    if size > cap and not force:
+    if size > cap:
         raise ValueError(
             f"dense assembly of a {size} x {size} matrix exceeds the cap of "
-            f"{cap} rows; pass force=True or raise {ENV_DENSE_CAP}")
+            f"{cap} rows; raise {ENV_DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,11 @@ class DenseOperator:
     matrix: np.ndarray
 
 
-def assemble_coordinate(iset: IndexSet, axis: int, *,
-                        force: bool = False) -> DenseOperator:
+def assemble_coordinate(iset: IndexSet, axis: int) -> DenseOperator:
     """Dense coordinate multiplication matrix X_axis on the set."""
     if not 1 <= axis <= iset.dim:
         raise ValueError(f"axis must satisfy 1 <= axis <= {iset.dim}, got {axis}")
-    _check_cap(iset.size, force)
+    _check_cap(iset.size)
     n = iset.size
     down, up = iset.neighbor_ordinals(axis)
     jl = iset.indices[:, axis - 1].astype(np.float64)
@@ -87,14 +86,14 @@ def assemble_oscillator_diagonal(iset: IndexSet) -> DenseOperator:
     return DenseOperator(iset, np.diag(levels))
 
 
-def assemble_square_sum(iset: IndexSet, *, force: bool = False) -> DenseOperator:
+def assemble_square_sum(iset: IndexSet) -> DenseOperator:
     """Exact Galerkin matrix of sum_l x_l**2, restricted to the set.
 
     Closed-form banded entries: j_l + 1/2 on the diagonal per axis and
     sqrt((j_l + 1)(j_l + 2)) / 2 coupling j to j + 2 e_l.  Restriction just
     drops couplings with a missing partner; the diagonal is untouched.
     """
-    _check_cap(iset.size, force)
+    _check_cap(iset.size)
     n = iset.size
     mat = np.diag((iset.indices + 0.5).sum(axis=1).astype(np.float64))
     rows = np.arange(n)
@@ -150,8 +149,7 @@ def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
 
 
 def assemble_with_rule(iset: IndexSet, approx: ChebApprox,
-                       rule: QuadratureRule, *,
-                       force: bool = False) -> DenseOperator:
+                       rule: QuadratureRule) -> DenseOperator:
     """Assembly under an arbitrary rule order.
 
     No exactness or matching guarantees; ``assemble_quad_galerkin`` and
@@ -162,13 +160,12 @@ def assemble_with_rule(iset: IndexSet, approx: ChebApprox,
     if approx.dim != iset.dim:
         raise ValueError(f"surrogate dimension {approx.dim} does not match "
                          f"index set dimension {iset.dim}")
-    _check_cap(iset.size, force)
+    _check_cap(iset.size)
     return DenseOperator(iset, _quadrature_assembly(iset, approx, rule))
 
 
 def assemble_quad_galerkin(iset: IndexSet, approx: ChebApprox,
-                           rule: QuadratureRule, *,
-                           force: bool = False) -> DenseOperator:
+                           rule: QuadratureRule) -> DenseOperator:
     """Galerkin matrix of the surrogate under the order-K quadrature.
 
     The rule order must equal the basis bound; that choice makes the matrix
@@ -179,12 +176,11 @@ def assemble_quad_galerkin(iset: IndexSet, approx: ChebApprox,
         raise ValueError(
             f"rule order mismatch: quadrature Galerkin assembly requires "
             f"order {iset.bound}, got {rule.order}")
-    return assemble_with_rule(iset, approx, rule, force=force)
+    return assemble_with_rule(iset, approx, rule)
 
 
 def assemble_exact_galerkin(iset: IndexSet, approx: ChebApprox, *,
-                            rule_order: int | None = None,
-                            force: bool = False) -> DenseOperator:
+                            rule_order: int | None = None) -> DenseOperator:
     """True Galerkin matrix of the surrogate, via an over-resolved rule.
 
     The default rule order K + R integrates every basis-times-surrogate
@@ -196,8 +192,7 @@ def assemble_exact_galerkin(iset: IndexSet, approx: ChebApprox, *,
     if rule_order < iset.bound + (approx.degree + 1) // 2:
         raise ValueError(f"rule order {rule_order} cannot integrate degree "
                          f"{2 * iset.bound + approx.degree} exactly")
-    return assemble_with_rule(iset, approx, gauss_hermite_rule(rule_order),
-                              force=force)
+    return assemble_with_rule(iset, approx, gauss_hermite_rule(rule_order))
 
 
 def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:
@@ -228,6 +223,6 @@ def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:
         big = blocks[0]
         for b in blocks[1:]:
             big = np.kron(big, b)
-        x_dense = assemble_coordinate(full, axis, force=True).matrix
+        x_dense = assemble_coordinate(full, axis).matrix
         diag_res = max(diag_res, float(np.max(np.abs(u.T @ big @ u - x_dense))))
     return diag_res, orth

@@ -11,6 +11,9 @@ Both are downward closed: removing one from any positive component never
 leaves the set.  Arbitrary downward-closed sets are accepted through
 :func:`from_indices`.
 
+A set is nothing but its rows: N is their column count, K their largest
+component, and the set is a full cube exactly when it has (K+1)^N rows.
+
 Each set fixes a canonical ordering of its members, lexicographic in
 (k_1, ..., k_N).  Coefficient vectors (:class:`CoeffVector`) are stored
 densely in that ordering; the ordinal of an index is recovered by a binary
@@ -24,12 +27,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-FULL = "full"
-HYPERBOLIC = "hyperbolic"
-CUSTOM = "custom"
-
-_KINDS = (FULL, HYPERBOLIC, CUSTOM)
-
 # Largest full cube or interpolation grid built; what the tests and the
 # benchmark build (81**3 cubes, 9**6 grids) stays far below it.
 MAX_ELEMENTS = 1 << 24
@@ -40,22 +37,17 @@ class IndexSet:
 
     Instances should be built through :func:`build_full`,
     :func:`build_hyperbolic` or :func:`from_indices`.  The ``indices`` array
-    has shape (size, dim), is sorted lexicographically and is read-only.
+    has shape (size, dim), is sorted lexicographically and is read-only;
+    ``dim`` and ``bound`` are read off it.
     """
 
-    __slots__ = ("dim", "bound", "kind", "indices", "_keys", "_derived",
+    __slots__ = ("dim", "bound", "indices", "_keys", "_derived",
                  "__weakref__")
 
-    def __init__(self, dim: int, bound: int, kind: str, indices: np.ndarray):
-        if dim <= 0:
-            raise ValueError(f"dimension must be positive, got {dim}")
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
-        if kind not in _KINDS:
-            raise ValueError(f"unknown index-set kind {kind!r}")
+    def __init__(self, indices: np.ndarray):
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        if indices.ndim != 2 or indices.shape[1] != dim:
-            raise ValueError("indices must have shape (size, dim)")
+        if indices.ndim != 2 or indices.shape[1] == 0:
+            raise ValueError("indices must have shape (size, dim > 0)")
         if indices.shape[0] == 0 or indices.min() < 0:
             raise ValueError("an index set needs at least one index and "
                              "nonnegative components")
@@ -65,9 +57,8 @@ class IndexSet:
             raise ValueError("indices must be distinct and in canonical "
                              "(lexicographic) order")
         indices.setflags(write=False)
-        self.dim = dim
-        self.bound = bound
-        self.kind = kind
+        self.dim = indices.shape[1]
+        self.bound = int(indices.max())
         self.indices = indices
         self._keys = _row_keys(indices)
         # neighbor tables per axis, built on first use
@@ -89,8 +80,7 @@ class IndexSet:
         return bool(self.locate(index) >= 0)
 
     def __repr__(self) -> str:
-        return (f"IndexSet(dim={self.dim}, bound={self.bound}, "
-                f"kind={self.kind!r}, size={self.size})")
+        return f"IndexSet(dim={self.dim}, bound={self.bound}, size={self.size})"
 
     def locate(self, rows) -> np.ndarray:
         """Ordinals of ``rows`` (shape (..., dim)), -1 where a row is absent."""
@@ -113,13 +103,9 @@ class IndexSet:
         return tuple(self.indices[ordinal].tolist())
 
     def same_as(self, other: "IndexSet") -> bool:
-        """Structural equality: same dim, bound, kind and member list."""
-        if self is other:
-            return True
-        return (self.dim == other.dim and self.bound == other.bound
-                and self.kind == other.kind
-                and self.indices.shape == other.indices.shape
-                and bool(np.array_equal(self.indices, other.indices)))
+        """Structural equality: the same rows."""
+        return self is other or bool(
+            np.array_equal(self.indices, other.indices))
 
     # -- neighbor bookkeeping -----------------------------------------------------
 
@@ -127,17 +113,19 @@ class IndexSet:
         """Ordinals of the -1/+1 neighbors along ``axis`` (1-based), -1 if absent.
 
         Cached per axis; the arrays are read-only.  As gather indices into a
-        (size + 1) vector whose last slot is zero, -1 reads that zero.
+        (size + 1) vector whose last slot is zero, -1 reads that zero.  Only
+        the down table is searched: j + e_axis is a member exactly when j is
+        the down neighbor of a member, so the up table is its inverse.
         """
         _check_axis(axis, self.dim)
         cached = self._derived.get(axis)
         if cached is not None:
             return cached
-        shifted = self.indices.copy()
-        shifted[:, axis - 1] -= 1
-        down = self.locate(shifted)
-        shifted[:, axis - 1] += 2
-        up = self.locate(shifted)
+        down = self.locate(self.indices
+                           - np.eye(self.dim, dtype=np.int64)[axis - 1])
+        has = down >= 0
+        up = np.full_like(down, -1)
+        up[down[has]] = np.flatnonzero(has)
         down.setflags(write=False)
         up.setflags(write=False)
         self._derived[axis] = (down, up)
@@ -149,6 +137,13 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     rows the keys' byte order is the canonical order at any dim and bound."""
     words = np.ascontiguousarray(rows, dtype=">i8")
     return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+
+
+def _check_dim_bound(dim: int, bound: int) -> None:
+    if dim <= 0:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
 
 
 def _check_axis(axis: int, dim: int) -> None:
@@ -164,71 +159,58 @@ def check_size(count: int, what: str) -> None:
 
 def build_full(dim: int, bound: int) -> IndexSet:
     """Full cube {k : 0 <= k_l <= bound}, size (bound+1)**dim."""
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    _check_dim_bound(dim, bound)
     check_size((bound + 1) ** dim, "full-cube members")
     ranges = [np.arange(bound + 1, dtype=np.int64)] * dim
     grids = np.meshgrid(*ranges, indexing="ij")
-    indices = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return IndexSet(dim, bound, FULL, indices)
+    return IndexSet(np.stack([g.reshape(-1) for g in grids], axis=1))
 
 
 def build_hyperbolic(dim: int, bound: int) -> IndexSet:
     """Hyperbolic cross {k : prod_l (1 + k_l) <= bound + 1}."""
-    if dim <= 0:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    budget = bound + 1
-    out: list[list[int]] = []
-    head = [0] * dim
-
-    def descend(level: int, remaining: int) -> None:
-        if level == dim - 1:
-            for k in range(remaining):
-                head[level] = k
-                out.append(head.copy())
-            return
-        k = 0
-        while k + 1 <= remaining:
-            head[level] = k
-            descend(level + 1, remaining // (k + 1))
-            k += 1
-
-    descend(0, budget)
-    indices = np.asarray(out, dtype=np.int64).reshape(len(out), dim)
-    return IndexSet(dim, bound, HYPERBOLIC, indices)
+    _check_dim_bound(dim, bound)
+    # Extend canonically ordered prefixes axis by axis: a prefix with room r
+    # (bound + 1 over its factors 1 + k_l) takes k < r next, leaving r//(k+1).
+    rows = np.zeros((1, 0), dtype=np.int64)
+    room = np.array([bound + 1], dtype=np.int64)
+    for _ in range(dim):
+        parent = np.repeat(np.arange(room.size), room)
+        k = np.arange(parent.size) - (np.cumsum(room) - room)[parent]
+        rows = np.column_stack([rows[parent], k])
+        room = room[parent] // (k + 1)
+    return IndexSet(rows)
 
 
-def from_indices(indices: Iterable[Sequence[int]], dim: int | None = None,
-                 kind: str = CUSTOM) -> IndexSet:
+def from_indices(indices: Iterable[Sequence[int]]) -> IndexSet:
     """Build a validated index set from an explicit list of multi-indices.
 
     The list must be nonempty, componentwise nonnegative and downward closed.
     Indices are sorted into canonical order; the bound is the largest
     component present.
     """
-    rows = [tuple(int(c) for c in row) for row in indices]
+    rows = list(indices)
     if not rows:
         raise ValueError("index set must contain at least one index")
-    if dim is None:
-        dim = len(rows[0])
-    for row in rows:
-        if len(row) != dim:
-            raise ValueError(f"index {row} does not have dimension {dim}")
-        if any(c < 0 for c in row):
-            raise ValueError(f"index {row} has a negative component")
-    arr = np.unique(np.asarray(rows, dtype=np.int64), axis=0)
-    iset = IndexSet(dim, int(arr.max()), kind, arr)
-    below = arr[:, None, :] - np.eye(dim, dtype=np.int64)
-    missing = (arr > 0) & (iset.locate(below) < 0)
+    dim = len(rows[0])
+    ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != dim
+    if ragged.any():
+        raise ValueError(f"index {tuple(rows[np.argmax(ragged)])} does not "
+                         f"have dimension {dim}")
+    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), dim)
+    negative = (arr < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"index {tuple(arr[np.argmax(negative)].tolist())} "
+                         "has a negative component")
+    iset = IndexSet(np.unique(arr, axis=0))
+    arr = iset.indices
+    missing = (arr > 0) & np.column_stack(
+        [iset.neighbor_ordinals(a)[0] < 0 for a in range(1, dim + 1)])
     if missing.any():
         i, a = np.argwhere(missing)[0]
         raise ValueError(
             f"set is not downward closed: {tuple(arr[i].tolist())} present "
-            f"but {tuple(below[i, a].tolist())} missing")
+            f"but {tuple((arr[i] - np.eye(dim, dtype=np.int64)[a]).tolist())}"
+            " missing")
     return iset
 
 
@@ -275,7 +257,7 @@ class CoeffVector:
 
 def _check_cube(subset: IndexSet, full: IndexSet) -> None:
     """restrict/extend map between a set and the full cube of its dim/bound."""
-    if full.kind != FULL:
+    if full.size != (full.bound + 1) ** full.dim:
         raise ValueError("target of restrict/extend must be a full cube")
     if subset.dim != full.dim or subset.bound != full.bound:
         raise ValueError(

@@ -24,6 +24,22 @@ def brute_force_hyperbolic(dim, bound):
     return keep
 
 
+def recursive_hyperbolic(dim, bound):
+    """Rows of the cross by depth-first descent, one Python call per prefix."""
+    out, head = [], [0] * dim
+
+    def descend(level, remaining):
+        for k in range(remaining):
+            head[level] = k
+            if level == dim - 1:
+                out.append(head.copy())
+            else:
+                descend(level + 1, remaining // (k + 1))
+
+    descend(0, bound + 1)
+    return np.asarray(out, dtype=np.int64)
+
+
 def test_full_cube_size_and_order():
     iset = build_full(2, 3)
     assert iset.size == 16
@@ -44,6 +60,14 @@ def test_hyperbolic_membership_rule(dim, bound):
     prods = np.prod(iset.indices + 1, axis=1)
     assert np.all(prods <= bound + 1)
     assert sorted(iset) == brute_force_hyperbolic(dim, bound)
+
+
+@pytest.mark.parametrize("dim, bound", [(6, 80), (8, 60), (20, 8)])
+def test_hyperbolic_rows_match_recursive_descent(dim, bound):
+    # beyond brute force: the cubes would have 81**6 to 9**20 members
+    rows = build_hyperbolic(dim, bound).indices
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, recursive_hyperbolic(dim, bound))
 
 
 def test_hyperbolic_sizes_dim2():
@@ -115,6 +139,9 @@ def test_neighbor_ordinals_match_scalar_walks():
                       (2, 0, 0), (0, 0, 2), (3, 0, 0)]),
         # 9**20 > 2**63: no mixed-radix int64 key could encode this set
         build_hyperbolic(20, 8),
+        build_hyperbolic(6, 80),
+        # not downward closed: up tables still hold for arbitrary rows
+        IndexSet(np.array([[0, 2], [1, 1], [3, 0], [3, 1]])),
     ]
     for iset in sets:
         for axis in range(1, iset.dim + 1):
@@ -126,13 +153,23 @@ def test_neighbor_ordinals_match_scalar_walks():
 
 def test_index_set_rejects_unsorted_rows():
     with pytest.raises(ValueError, match="canonical"):
-        IndexSet(2, 1, "custom", np.array([[0, 1], [0, 0]]))
+        IndexSet(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="canonical"):
-        IndexSet(2, 1, "custom", np.array([[0, 0], [1, 0], [0, 1]]))
+        IndexSet(np.array([[0, 0], [1, 0], [0, 1]]))
     with pytest.raises(ValueError, match="distinct"):
-        IndexSet(2, 1, "custom", np.array([[0, 0], [0, 1], [0, 1]]))
+        IndexSet(np.array([[0, 0], [0, 1], [0, 1]]))
     with pytest.raises(ValueError, match="nonnegative"):
-        IndexSet(2, 1, "custom", np.array([[0, -1], [0, 0]]))
+        IndexSet(np.array([[0, -1], [0, 0]]))
+
+
+def test_index_set_reads_dim_and_bound_off_its_rows():
+    iset = IndexSet(np.array([[0, 0, 0], [0, 0, 4], [2, 1, 0]]))
+    assert (iset.dim, iset.bound, iset.size) == (3, 4, 3)
+    assert repr(iset) == "IndexSet(dim=3, bound=4, size=3)"
+    for rows in (np.zeros((2, 0), dtype=np.int64), np.zeros((0, 2)),
+                 np.arange(3)):
+        with pytest.raises(ValueError):
+            IndexSet(rows)
 
 
 def test_from_indices_validates_closure():
@@ -143,6 +180,8 @@ def test_from_indices_validates_closure():
         from_indices([(0, -1)])
     with pytest.raises(ValueError, match="at least one"):
         from_indices([])
+    with pytest.raises(ValueError, match=r"\(1,\) does not have dimension 2"):
+        from_indices([(0, 0), (1,)])
 
 
 def test_restrict_extend_roundtrip(rng):
@@ -160,12 +199,32 @@ def test_restrict_extend_roundtrip(rng):
             assert ext.data[i] == 0.0
 
 
+def test_restrict_extend_accept_any_cube_built_from_its_rows(rng):
+    full = build_full(3, 4)
+    shuffled = rng.permutation(full.indices)
+    cube = from_indices(shuffled.tolist())
+    assert cube.same_as(full)
+    sub = build_hyperbolic(3, 4)
+    v = CoeffVector(sub, rng.standard_normal(sub.size))
+    w = CoeffVector(full, rng.standard_normal(full.size))
+    assert np.array_equal(extend(v, cube).data, extend(v, full).data)
+    assert np.array_equal(restrict(CoeffVector(cube, w.data), sub).data,
+                          restrict(w, sub).data)
+
+
 def test_restrict_requires_matching_cube(rng):
     sub = build_hyperbolic(2, 9)
     wrong = build_full(2, 10)
     v = CoeffVector(wrong, rng.standard_normal(wrong.size))
     with pytest.raises(ValueError, match="mismatch"):
         restrict(v, sub)
+    # same dim and bound as a 2x2 cube but one row short: no cube at all
+    short = from_indices([(0, 0), (0, 1), (1, 0)])
+    line = from_indices([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="full cube"):
+        extend(CoeffVector(line, [1.0, 2.0]), short)
+    with pytest.raises(ValueError, match="full cube"):
+        restrict(CoeffVector(short, [1.0, 2.0, 3.0]), line)
 
 
 def test_coeff_vector_rejects_bad_data():
