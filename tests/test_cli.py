@@ -153,13 +153,19 @@ def test_usage_errors_exit_one(capsys):
         ["propagate", "--reference-steps", "8"],
         ["propagate", "--reference-lanczos", "4"],
         ["bench", "--jobs", "0"],
-        # perturb and propagate split off the undilated oscillator
-        ["perturb", "--kmax", "6", "--scale", "2"],
-        ["propagate", "--kmax", "6", "--scale", "2"],
     ]
     for argv in cases:
         code, _, err = run(argv, capsys)
         assert code == EXIT_USAGE, argv
+
+
+def test_dilated_splitting_is_rejected(capsys):
+    # perturb and propagate split off the undilated oscillator, so they
+    # have no --scale option and argparse refuses one
+    for cmd in ("perturb", "propagate"):
+        code, _, err = run([cmd, "--kmax", "6", "--scale", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --scale 2" in err
 
 
 def test_propagate_rejects_steps_that_do_not_tile_the_interval(capsys):
