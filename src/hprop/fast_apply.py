@@ -11,9 +11,13 @@ follow from the three-term recurrence on whole coefficient vectors, and a
 tensor surrogate sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
 O(sum_r |r| * size) instead of a dense matrix multiply.  All terms share
 their sweeps: the degree tuples form a trie in application order, each node
-runs one recurrence sweep up to the largest degree its terms need on its
-axis, and every intermediate vector is computed once.  Separable potentials
-therefore cost one sweep per axis, O(N * R * size).
+off the last-applied axis runs one recurrence sweep up to the largest degree
+its terms need on its axis, and every intermediate vector is computed once.
+Every term ends with a factor T_k on the last-applied axis, so by linearity
+the nodes there only collect the vector each T_k acts on, and one Clenshaw
+recurrence (Clenshaw 1955) sums the series.  In sweeps an apply costs the
+sum of the largest degrees of the nodes off the last axis, plus the last
+axis's largest degree; separable potentials cost one per axis, O(N R size).
 
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
@@ -70,14 +74,12 @@ class PolynomialApplier:
                          axis_order=None) -> np.ndarray:
         """Multiply v by the restricted Galerkin matrix of the surrogate.
 
-        One recursive walk over the degree tuples, taken in application
-        order (``axis_order``, first entry applied first; by default axis N
-        down to axis 1).  A node groups its terms by their degree on its
-        axis and runs a single three-term recurrence sweep up to the largest
-        one.  Terms with no degree left on later axes are summed into the
-        result during the sweep; every other group recurses on the swept
-        vector, so terms sharing an application prefix share its sweeps and
-        separable surrogates cost one sweep per axis.
+        Factors apply in ``axis_order`` (first entry applied first; by
+        default axis N down to axis 1).  Each term ends with T_k(scale X) on
+        the last axis applied, so by linearity the surrogate is sum_k
+        T_k(scale X) (w0[k] u + z[k]): terms with no degree before that axis
+        only weight u, the walk collects the rest into z, and one Clenshaw
+        recurrence sums the series at the cost of one sweep.
         """
         n, N = self.size, self.dim
         if axis_order is None:
@@ -88,24 +90,68 @@ class PolynomialApplier:
                 raise ValueError(f"axis_order must permute 1..{N}")
         dtype = np.result_type(v.dtype, np.float64)
         acc = np.zeros(n, dtype=dtype)
-        if approx.nterms:
-            u = np.zeros(n + 1, dtype=dtype)
-            u[:n] = v
-            self._walk(order, approx.degrees[:, [a - 1 for a in order]],
-                       approx.coeffs, 1.0 / approx.halfwidth, u,
-                       np.zeros((4, n + 1), dtype=dtype), acc)
+        if not approx.nterms:
+            return acc
+        degs = approx.degrees[:, [a - 1 for a in order]]
+        last, walked = degs[:, -1], degs[:, :-1].any(axis=1)
+        top = int(last.max())
+        w0 = np.bincount(last[~walked], approx.coeffs[~walked],
+                         minlength=top + 1).tolist()
+        # the root's four scratch rows, then z only if a walked term has a
+        # degree on the last axis: separable surrogates allocate no z
+        zrows = (top + 1) * bool(last[walked].any())
+        work = np.zeros((4 + zrows, n + 1), dtype=dtype)
+        bufs, z = work[:4], work[4:]
+        u = np.zeros(n + 1, dtype=dtype)
+        u[:n] = v
+        scale = 1.0 / approx.halfwidth
+        if walked.any():
+            self._walk(order, degs[walked], approx.coeffs[walked], scale, u,
+                       acc, z, bufs)
+        # b_k = c_k + 2 scale X b_{k+1} - b_{k+2} (b_{top+1} = b_{top+2} = 0)
+        # in row k % 3; the sum c_0 + scale X b_1 - b_2 lands in row 0
+        for k in range(top, -1, -1):
+            b = bufs[k % 3, :n]
+            if k < top:
+                self._times_x(order[-1], bufs[(k + 1) % 3], b, bufs[3, :n])
+                b *= 2.0 * scale if k else scale
+            else:
+                b[:] = 0.0
+            if k < top - 1:
+                b -= bufs[(k + 2) % 3, :n]
+            if w0[k] != 0.0:
+                b += w0[k] * u[:n]
+            if zrows:
+                b += z[k, :n]
+        acc += bufs[0, :n]
         return acc
 
-    def _walk(self, order, degs, coeffs, scale, u, bufs, acc) -> None:
-        """acc += sum_t coeffs[t] * prod_i T_{degs[t, i]}(scale X_{order[i]}) u.
+    def _times_x(self, axis, src, out, tmp) -> None:
+        """out = X_axis src for a padded src; tmp is scratch of length n."""
+        a = axis - 1    # index, since np.take copies read-only tables
+        np.multiply(src[self._up[a]], self._cup[a], out=tmp)
+        np.multiply(src[self._down[a]], self._cdown[a], out=out)
+        out += tmp
 
-        Factors apply in ``order``, whose first axis is this node's.  ``u``
-        is padded with a zero in slot n and only read; ``bufs`` holds four
-        padded scratch rows, free for this node to use.
+    def _walk(self, order, degs, coeffs, scale, u, acc, z, bufs=None) -> None:
+        """Add sum_t coeffs[t] * prod_i T_{degs[t, i]}(scale X_{order[i]}) u.
+
+        Factors apply in ``order``, whose first axis is this node's.  A node
+        off the last axis runs one sweep up to its terms' largest degree,
+        adds finished terms to ``acc`` and recurses per degree, so terms
+        sharing a prefix share its sweeps; on the last axis it only adds
+        coeffs * u into z[degree].  ``u`` is padded with a zero in slot n;
+        ``bufs`` holds four padded scratch rows free for this node, or None.
         """
         n = self.size
-        a = order[0] - 1
         deg = degs[:, 0]
+        if len(order) == 1:
+            for k, w in enumerate(np.bincount(deg, coeffs).tolist()):
+                if w != 0.0:
+                    z[k] += w * u
+            return
+        if bufs is None:
+            bufs = np.zeros((4, n + 1), dtype=acc.dtype)
         leaf = ~degs[:, 1:].any(axis=1)
         top = int(deg.max())
         weights = np.bincount(deg[leaf], coeffs[leaf],
@@ -113,22 +159,14 @@ class PolynomialApplier:
         kids = set(deg[~leaf].tolist())
         if weights[0] != 0.0:
             acc += weights[0] * u[:n]
-        down, up, cdown, cup = (self._down[a], self._up[a],
-                                self._cdown[a], self._cup[a])
-        tmp = bufs[3, :n]
         prev, cur = None, u
         for k in range(1, top + 1):
             # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X u) into the
-            # scratch row that holds T_{k-3}; slot n stays zero.  Gathers
-            # index, since np.take copies read-only tables on every call
+            # scratch row that holds T_{k-3}; slot n stays zero
             nxt = bufs[(k - 1) % 3]
-            np.multiply(cur[up], cup, out=tmp)
-            np.multiply(cur[down], cdown, out=nxt[:n])
-            nxt[:n] += tmp
-            if k == 1:
-                nxt[:n] *= scale
-            else:
-                nxt[:n] *= 2.0 * scale
+            self._times_x(order[0], cur, nxt[:n], bufs[3, :n])
+            nxt[:n] *= 2.0 * scale if k > 1 else scale
+            if k > 1:
                 nxt[:n] -= prev[:n]
             prev, cur = cur, nxt
             if weights[k] != 0.0:
@@ -136,12 +174,12 @@ class PolynomialApplier:
             if k in kids:
                 group = ~leaf & (deg == k)
                 self._walk(order[1:], degs[group, 1:], coeffs[group], scale,
-                           cur, np.zeros_like(bufs), acc)
+                           cur, acc, z)
         # the degree-0 group sees u itself, and this node's scratch is free
         if 0 in kids:
             group = ~leaf & (deg == 0)
             self._walk(order[1:], degs[group, 1:], coeffs[group], scale, u,
-                       bufs, acc)
+                       acc, z, bufs)
 
     def apply_hamiltonian(self, approx: ChebApprox, v: np.ndarray) -> np.ndarray:
         out = self.apply_polynomial(approx, v)

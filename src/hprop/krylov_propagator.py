@@ -25,6 +25,7 @@ import numpy as np
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
+# relative to the operator-norm estimate max(|alpha_j|, beta_j) so far
 _BREAKDOWN_TOL = 1e-14
 
 
@@ -56,7 +57,12 @@ class LanczosFactorization:
 
 def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
             reorthogonalize: bool = False) -> LanczosFactorization:
-    """Run ``steps`` Lanczos iterations from ``v0`` (need not be normalized)."""
+    """Run ``steps`` Lanczos iterations from ``v0`` (need not be normalized).
+
+    The run stops at an invariant subspace: a coupling beta_k at or below
+    _BREAKDOWN_TOL times max(|alpha_j|, beta_j) so far, so rounding-level
+    couplings count as zero whatever the operator's scale.
+    """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     v0 = np.asarray(v0)
@@ -72,6 +78,7 @@ def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
     prev = np.zeros(n, dtype=dtype)
     bprev = 0.0
     defect = 0.0
+    anorm = 0.0
     breakdown_at = None
     m_eff = steps
     for k in range(steps):
@@ -80,13 +87,14 @@ def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
         ak = vk.conj() @ w
         defect = max(defect, abs(float(ak.imag)))
         alpha[k] = ak.real
+        anorm = max(anorm, abs(alpha[k]), bprev)
         if k == steps - 1:
             break
         w = w - alpha[k] * vk - bprev * prev
         if reorthogonalize:
             w = w - basis[:, :k + 1] @ (basis[:, :k + 1].conj().T @ w)
         bk = float(np.linalg.norm(w))
-        if bk <= _BREAKDOWN_TOL:
+        if bk <= _BREAKDOWN_TOL * anorm:
             breakdown_at = k + 1
             m_eff = k + 1
             break

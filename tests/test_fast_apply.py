@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -94,6 +95,10 @@ def gaussian_well(pts, t):
         -(pts * pts).sum(axis=-1) / 50.0)
 
 
+def gaussian_well_spec(dim):
+    return custom_potential(gaussian_well, dim, 16.0)
+
+
 # -- coordinate and single-axis application -----------------------------------
 
 
@@ -135,13 +140,19 @@ def test_chebyshev_of_coordinate_matches_matrix_recurrence(deg, rng):
     (2, 12, 5, torsional),
     (2, 12, 5, henon_heiles_perturbed),
     (3, 8, 3, henon_heiles_perturbed),
+    (3, 10, 6, gaussian_well_spec),
 ])
+# the operator identity holds whatever the quadrature margin
+@pytest.mark.filterwarnings("ignore:surrogate degree:UserWarning")
 def test_fast_algorithm_matches_ordered_dense_product(dim, bound, degree,
                                                       potential, rng):
+    # the 1-D surrogate never enters the walk; the well's mixed terms reach
+    # the last-applied axis through it
     iset = build_hyperbolic(dim, bound)
     spec = smooth_remainder(potential(dim))
     approx = interpolate(spec, degree, time=0.4)
-    v = CoeffVector(iset, rng.standard_normal(iset.size))
+    v = CoeffVector(iset, rng.standard_normal(iset.size)
+                    + 1j * rng.standard_normal(iset.size))
     for order in [None, *itertools.permutations(range(1, dim + 1))]:
         got = fast_algorithm(iset, approx, v, axis_order=order)
         want = dense_surrogate(iset, approx, order) @ v.data
@@ -153,8 +164,8 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
     # the shared-sweep walk must agree with running each term separately
     cases = [(dim, bound, smooth_remainder(henon_heiles_perturbed(dim)), 7)
              for dim, bound in ((2, 30), (3, 12), (4, 10))]
-    cases += [(3, 20, custom_potential(gaussian_well, 3, 16.0), 8),
-              (4, 12, custom_potential(gaussian_well, 4, 16.0), 6)]
+    cases += [(3, 20, gaussian_well_spec(3), 8),
+              (4, 12, gaussian_well_spec(4), 6)]
     for dim, bound, spec, degree in cases:
         iset = build_hyperbolic(dim, bound)
         approx = interpolate(spec, degree, time=0.9)
@@ -165,6 +176,30 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
             got = appl.apply_polynomial(approx, v, axis_order=order)
             want = per_term_surrogate(iset, approx, v, order)
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+def test_one_apply_allocates_no_block_per_degree(rng):
+    # tracemalloc sees numpy buffers; peaks count items of n + 1 float64s.
+    # The bounds are the peaks of the per-node sweep (7.3 and 15.6 rows),
+    # rounded up, plus for mixed terms the (top + 1) rows of the Clenshaw
+    # coefficients: a separable surrogate allocates no such block at all
+    iset = build_full(3, 12)
+    appl = get_applier(iset)
+    v = rng.standard_normal(iset.size)
+
+    def peak_rows(approx):
+        appl.apply_polynomial(approx, v)
+        tracemalloc.start()
+        try:
+            appl.apply_polynomial(approx, v)
+            return tracemalloc.get_traced_memory()[1] / (8 * (iset.size + 1))
+        finally:
+            tracemalloc.stop()
+
+    assert peak_rows(interpolate(torsional(3), 8)) < 8.0
+    approx = interpolate(gaussian_well_spec(3), 8, time=0.9)
+    top = int(approx.degrees[:, 0].max())    # axis 1 is applied last
+    assert peak_rows(approx) < 15.6 + top + 1
 
 
 _LIN_SET = build_hyperbolic(2, 10)

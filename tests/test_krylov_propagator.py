@@ -67,6 +67,24 @@ def test_lanczos_breakdown_on_invariant_subspace():
     assert fac.alpha[0] == pytest.approx(1.0)
 
 
+def test_lanczos_breakdown_tolerance_scales_with_the_operator():
+    # a start on the eigenvectors of -1e4 and 1e4 spans an invariant
+    # subspace: alpha stays ~0, beta_1 = 1e4, and the rounding-level beta_2
+    # (~3e-12) lies above an absolute 1e-14 but below 1e-14 * max(|alpha|,
+    # beta) so far
+    gen = np.random.default_rng(7)
+    q, _ = np.linalg.qr(gen.standard_normal((20, 20)))
+    lam = 1e4 * np.linspace(-1.0, 1.0, 20)
+    a = (q * lam) @ q.T
+    a = 0.5 * (a + a.T)
+    fac = lanczos(lambda w: a @ w, q[:, 0] + q[:, 19], 6)
+    assert fac.breakdown_at == 2
+    assert fac.steps == 2
+    # the two Ritz values are the subspace's eigenvalues
+    t = np.diag(fac.alpha) + np.diag(fac.beta, 1) + np.diag(fac.beta, -1)
+    assert np.max(np.abs(np.linalg.eigvalsh(t) - lam[[0, 19]])) < 1e-8
+
+
 def test_lanczos_rejects_zero_start():
     with pytest.raises(ValueError, match="nonzero"):
         lanczos(lambda w: w, np.zeros(4), 2)
