@@ -19,12 +19,10 @@ from .index_set import (
     build_hyperbolic,
     extend,
     from_indices,
-    neighbor,
     restrict,
 )
 from .hermite_basis import (
     QuadratureRule,
-    SupportCheck,
     check_support_condition,
     eval_hermite_functions,
     gauss_hermite_rule,
@@ -47,8 +45,6 @@ from .potential_approx import (
 from .fast_apply import (
     PolynomialApplier,
     apply_hamiltonian,
-    cheb_of_coordinate_apply,
-    direct_op,
     fast_algorithm,
     get_applier,
     square_sum_apply,
@@ -81,7 +77,6 @@ from .error_lab import (
     PropagationRow,
     build_reference,
     lanczos_perturbation_error,
-    lanczos_truncation_error,
     make_decay_vector,
     propagate_and_compare,
     quadrature_error,

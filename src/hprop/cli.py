@@ -86,14 +86,34 @@ def _fraction_list(text: str) -> list[Fraction]:
     return out
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if val < low:
+            raise argparse.ArgumentTypeError(f"value must be at least {low}")
+        return val
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
     try:
-        val = int(text)
+        val = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") \
-            from None
-    if val < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not (math.isfinite(val) and val > 0.0):
+        raise argparse.ArgumentTypeError("value must be positive and finite")
     return val
 
 
@@ -108,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of spatial dimensions (default 2)")
         p.add_argument("--kmax", type=_int_list, default=_int_list(kmax),
                        help=f"comma list of basis bounds K (default {kmax})")
-        p.add_argument("--degree", type=int, default=degree,
+        p.add_argument("--degree", type=_nonnegative_int, default=degree,
                        help=f"surrogate polynomial degree (default {degree})")
-        p.add_argument("--halfwidth", type=float, default=16.0,
+        p.add_argument("--halfwidth", type=_positive_float, default=16.0,
                        help="box half width L (default 16)")
         if scale:
-            p.add_argument("--scale", type=float, default=1.0,
+            p.add_argument("--scale", type=_positive_float, default=1.0,
                            help="basis dilation S (default 1)")
         if beta is not None:
             p.add_argument("--beta", type=_positive_int, default=beta,
@@ -123,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["torsional", "torsional-ho", "henon-heiles"],
                        help=f"potential kind (default {potential})")
         if seed:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_nonnegative_int, default=0,
                            help="PRNG seed for random vectors (default 0)")
         p.add_argument("--out", default=None,
                        help="output file (default stdout)")
@@ -224,10 +244,10 @@ def _meta(args, **extra) -> dict:
 
 def _warn_support(args) -> None:
     for k in args.kmax:
-        chk = check_support_condition(getattr(args, "scale", 1.0),
-                                      args.halfwidth, k)
-        if not chk.ok:
-            print(chk.message(), file=sys.stderr)
+        violation = check_support_condition(getattr(args, "scale", 1.0),
+                                            args.halfwidth, k)
+        if violation:
+            print(violation, file=sys.stderr)
 
 
 def _effective_approx(args, time_value: float = 0.0):

@@ -38,19 +38,15 @@ from .potential_approx import ChebApprox, PotentialSpec, interpolate, \
     smooth_remainder
 
 
-def make_decay_vector(iset: IndexSet, beta: int, *,
-                      normalized: bool = True) -> CoeffVector:
-    """Deterministic test vector v_k = prod_l max(k_l, 1)^(-beta).
-
-    The zero multi-index carries the largest component; normalization (on by
-    default) rescales to unit Euclidean norm.
-    """
+def make_decay_vector(iset: IndexSet, beta: int) -> CoeffVector:
+    """Deterministic test vector v_k = prod_l max(k_l, 1)^(-beta), rescaled
+    to unit Euclidean norm; the zero multi-index carries the largest
+    component."""
     if beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
     base = np.maximum(iset.indices, 1).astype(np.float64)
     data = np.prod(base ** (-float(beta)), axis=1)
-    if normalized:
-        data = data / np.linalg.norm(data)
+    data = data / np.linalg.norm(data)
     return CoeffVector(iset, data)
 
 
@@ -114,6 +110,12 @@ def reduction_local_mask(iset: IndexSet, approx: ChebApprox) -> np.ndarray:
 # -- Hamiltonian matvec factories ---------------------------------------------
 
 
+def _check_dims(iset: IndexSet, potential: PotentialSpec) -> None:
+    if potential.dim != iset.dim:
+        raise ValueError(f"potential dimension {potential.dim} does not "
+                         f"match index set dimension {iset.dim}")
+
+
 @dataclass
 class FastHamiltonian:
     """Matrix-free A(t) = D + W_pol(t) through the insertion algorithm.
@@ -128,6 +130,9 @@ class FastHamiltonian:
     iset: IndexSet
     potential: PotentialSpec
     degree: int
+
+    def __post_init__(self):
+        _check_dims(self.iset, self.potential)
 
     def approx_at(self, t: float) -> ChebApprox:
         return interpolate(smooth_remainder(self.potential), self.degree,
@@ -164,6 +169,9 @@ class OracleHamiltonian:
     degree: int
     _terms: dict = field(default_factory=dict, repr=False)
     _static: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _check_dims(self.iset, self.potential)
 
     def term_matrix(self, tup: tuple[int, ...]) -> np.ndarray:
         mat = self._terms.get(tup)
@@ -215,11 +223,11 @@ class PerturbationResult:
 
 def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
                                degree: int, beta: int, h: float,
-                               krylov_steps: int, *, time: float = 0.0,
+                               krylov_steps: int, *,
                                with_bound: bool = False) -> PerturbationResult:
     """Distance between Krylov exponentials built on oracle vs fast matvecs.
 
-    Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 starting from
+    Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 at t = 0, from
     the normalized beta-decay vector, where the tilded factorization uses
     the insertion algorithm on the pruned set and the plain one uses the
     assembled matrix.  With ``with_bound`` the sensitivity estimate
@@ -227,8 +235,8 @@ def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
     for small problems).
     """
     v = make_decay_vector(iset, beta).data.astype(np.complex128)
-    mat = OracleHamiltonian(iset, potential, degree).matrix_at(time)
-    fast = FastHamiltonian(iset, potential, degree).matvec_at(time)
+    mat = OracleHamiltonian(iset, potential, degree).matrix_at(0.0)
+    fast = FastHamiltonian(iset, potential, degree).matvec_at(0.0)
     u_plain, fac_plain = lanczos_exp_apply(lambda w: mat @ w, v, h,
                                            krylov_steps)
     u_fast, fac_fast = lanczos_exp_apply(fast, v, h, krylov_steps)
@@ -242,24 +250,6 @@ def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
         bound = h * fnorm * float(np.exp(h * (anorm + fnorm)))
     return PerturbationResult(err, bound, h, krylov_steps,
                               fac_fast.hermiticity_defect)
-
-
-def lanczos_truncation_error(iset: IndexSet, potential: PotentialSpec,
-                             degree: int, beta: int, h: float,
-                             krylov_steps: int, *,
-                             time: float = 0.0) -> float:
-    """Krylov error || V exp(-i h T) e_1 - exp(-i h A) v ||_2, oracle matvecs.
-
-    The exact exponential comes from a dense eigendecomposition, so this is
-    the classical Lanczos approximation error with the perturbation switched
-    off entirely.
-    """
-    v = make_decay_vector(iset, beta).data.astype(np.complex128)
-    mat = OracleHamiltonian(iset, potential, degree).matrix_at(time)
-    u_kry, _ = lanczos_exp_apply(lambda w: mat @ w, v, h, krylov_steps)
-    evals, evecs = np.linalg.eigh(mat)
-    u_exact = evecs @ (np.exp(-1j * h * evals) * (evecs.conj().T @ v))
-    return float(np.linalg.norm(u_kry - u_exact))
 
 
 # -- full propagation study -----------------------------------------------------
@@ -281,21 +271,21 @@ REFERENCE_MIN_STEPS = 20
 REFERENCE_MAX_STEPS = 10_240
 
 
-def build_reference(iset: IndexSet, potential: PotentialSpec, degree: int,
-                    y0: np.ndarray) -> np.ndarray:
+def build_reference(oracle: OracleHamiltonian, y0: np.ndarray) -> np.ndarray:
     """Endpoint at t = 1 from assembled-matrix gl2 steps, converged by doubling.
 
     The step count doubles from REFERENCE_MIN_STEPS until two successive
     endpoints agree within REFERENCE_TOL * max|y0| in the max norm; scheme
     and Krylov error both shrink with the step, so that difference bounds
     both.  Returns the finer endpoint; RuntimeError past REFERENCE_MAX_STEPS.
+    The oracle is the caller's, so its term matrices are assembled once.
     """
-    ham = OracleHamiltonian(iset, potential, degree)
     tol = REFERENCE_TOL * float(np.max(np.abs(y0)))
     nsteps, coarse = REFERENCE_MIN_STEPS, None
     while nsteps <= REFERENCE_MAX_STEPS:
-        fine = propagate_magnus(MagnusScheme.from_name("gl2"), ham.matvec_at,
-                                y0, 0.0, 1.0, nsteps, REFERENCE_KRYLOV)
+        fine = propagate_magnus(MagnusScheme.from_name("gl2"),
+                                oracle.matvec_at, y0, 0.0, 1.0, nsteps,
+                                REFERENCE_KRYLOV)
         if coarse is not None:
             diff = float(np.max(np.abs(fine - coarse)))
             if diff <= tol:
@@ -316,13 +306,14 @@ def propagate_and_compare(iset: IndexSet, potential: PotentialSpec,
     For each step count the run is repeated with assembled-matrix matvecs
     under the same scheme; the max-norm distance between the two endpoint
     states is the perturbation error, while the distance to the reference
-    (built here if not supplied) is the total scheme error.
+    (built here on the same oracle if not supplied) is the total scheme
+    error.
     """
     y0 = make_decay_vector(iset, beta).data.astype(np.complex128)
-    if reference is None:
-        reference = build_reference(iset, potential, degree, y0)
     fast = FastHamiltonian(iset, potential, degree)
     oracle = OracleHamiltonian(iset, potential, degree)
+    if reference is None:
+        reference = build_reference(oracle, y0)
     rows = []
     for nsteps in step_counts:
         y_fast = propagate_magnus(scheme, fast.matvec_at, y0, 0.0, 1.0,

@@ -258,28 +258,6 @@ def _check_approx(iset: IndexSet, approx: ChebApprox) -> None:
             UserWarning, stacklevel=3)
 
 
-def direct_op(iset: IndexSet, axis: int, v: CoeffVector) -> CoeffVector:
-    """Coordinate multiplication X_axis applied to a coefficient vector."""
-    return cheb_of_coordinate_apply(iset, axis, 1, 1.0, v)
-
-
-def cheb_of_coordinate_apply(iset: IndexSet, axis: int, degree: int,
-                             halfwidth: float, v: CoeffVector) -> CoeffVector:
-    """T_degree(X_axis / halfwidth) applied through the vector recurrence."""
-    if not 1 <= axis <= iset.dim:
-        raise ValueError(f"axis must satisfy 1 <= axis <= {iset.dim}, got {axis}")
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
-    _check_vector(iset, v)
-    degrees = np.zeros((1, iset.dim), dtype=np.int64)
-    degrees[0, axis - 1] = degree
-    term = ChebApprox(dim=iset.dim, degree=degree, halfwidth=float(halfwidth),
-                      time=0.0, degrees=degrees, coeffs=np.ones(1))
-    return CoeffVector(iset, get_applier(iset).apply_polynomial(term, v.data))
-
-
 def fast_algorithm(iset: IndexSet, approx: ChebApprox, v: CoeffVector,
                    *, axis_order=None) -> CoeffVector:
     """Apply the surrogate potential sum_r alpha_r prod_l T_{r_l}(X_l/L).

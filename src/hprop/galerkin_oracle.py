@@ -24,11 +24,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .hermite_basis import eval_hermite_functions, gauss_hermite_rule, \
     QuadratureRule
 from .index_set import IndexSet, build_full
-from .potential_approx import ChebApprox, chebyshev_recurrence
+from .potential_approx import ChebApprox
 
 DEFAULT_DENSE_CAP = 20_000
 ENV_DENSE_CAP = "HPROP_DENSE_CAP"
@@ -117,8 +118,7 @@ def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
     idx = iset.indices
     n, N = iset.size, iset.dim
     phi = eval_hermite_functions(rule.nodes, iset.bound)      # (K+1, M+1)
-    tch = chebyshev_recurrence(rule.nodes / approx.halfwidth,
-                               max(approx.degree, 0))
+    tch = chebvander(rule.nodes / approx.halfwidth, max(approx.degree, 0)).T
     degrees = approx.degrees
     coeffs = approx.coeffs
     # per-degree node weights omega * T_r(xi / L)
@@ -153,9 +153,8 @@ def assemble_with_rule(iset: IndexSet, approx: ChebApprox,
     """Assembly under an arbitrary rule order.
 
     No exactness or matching guarantees; ``assemble_quad_galerkin`` and
-    ``assemble_exact_galerkin`` are the two meaningful special cases and
-    call this after checking their rule order.  Called directly, it lets
-    mismatched orders be demonstrated to fail.
+    ``assemble_exact_galerkin`` are the two meaningful special cases.
+    Called directly, it lets mismatched orders be demonstrated to fail.
     """
     if approx.dim != iset.dim:
         raise ValueError(f"surrogate dimension {approx.dim} does not match "
@@ -179,20 +178,15 @@ def assemble_quad_galerkin(iset: IndexSet, approx: ChebApprox,
     return assemble_with_rule(iset, approx, rule)
 
 
-def assemble_exact_galerkin(iset: IndexSet, approx: ChebApprox, *,
-                            rule_order: int | None = None) -> DenseOperator:
+def assemble_exact_galerkin(iset: IndexSet,
+                            approx: ChebApprox) -> DenseOperator:
     """True Galerkin matrix of the surrogate, via an over-resolved rule.
 
-    The default rule order K + R integrates every basis-times-surrogate
-    product exactly (degree <= 2K + R <= 2 (K + R) + 1); ``rule_order`` can
-    push the order higher for self-consistency checks.
+    The rule order K + R integrates every basis-times-surrogate product
+    exactly (degree <= 2K + R <= 2 (K + R) + 1).
     """
-    if rule_order is None:
-        rule_order = iset.bound + approx.degree
-    if rule_order < iset.bound + (approx.degree + 1) // 2:
-        raise ValueError(f"rule order {rule_order} cannot integrate degree "
-                         f"{2 * iset.bound + approx.degree} exactly")
-    return assemble_with_rule(iset, approx, gauss_hermite_rule(rule_order))
+    rule = gauss_hermite_rule(iset.bound + approx.degree)
+    return assemble_with_rule(iset, approx, rule)
 
 
 def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:

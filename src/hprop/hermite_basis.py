@@ -27,19 +27,17 @@ from functools import lru_cache
 import numpy as np
 
 
-def eval_hermite_functions(x, max_order: int, scaling: float = 1.0) -> np.ndarray:
-    """Values phi_k(scaling * x) for k = 0..max_order.
+def eval_hermite_functions(x, max_order: int) -> np.ndarray:
+    """Values phi_k(x) for k = 0..max_order.
 
     Returns shape (max_order+1,) for scalar ``x`` and (max_order+1, len(x))
     for a 1-d array of points.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    if scaling <= 0:
-        raise ValueError(f"scaling must be positive, got {scaling}")
     x = np.asarray(x, dtype=np.float64)
     scalar = x.ndim == 0
-    y = np.atleast_1d(x) * scaling
+    y = np.atleast_1d(x)
     out = np.empty((max_order + 1, y.shape[0]), dtype=np.float64)
     out[0] = np.pi ** (-0.25) * np.exp(-0.5 * y * y)
     if max_order >= 1:
@@ -99,32 +97,14 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights, omega)
 
 
-@dataclass(frozen=True)
-class SupportCheck:
-    """Result of the basis support test S*L >= sqrt(2(K+1)) + 1."""
-
-    ok: bool
-    product: float      # S * L
-    required: float     # sqrt(2 (K+1)) + 1
-    margin: float       # product - required, negative when violated
-
-    def message(self) -> str:
-        if self.ok:
-            return (f"support ok: S*L = {self.product:.4g} >= "
-                    f"{self.required:.4g}")
-        return (f"support condition violated: S*L = {self.product:.4g} < "
-                f"sqrt(2(K+1)) + 1 = {self.required:.4g} "
-                f"(deficit {-self.margin:.4g}); the truncated basis is not "
-                f"resolved on [-L, L] and interpolation degrades")
-
-
 def check_support_condition(scaling: float, halfwidth: float,
-                            max_order: int) -> SupportCheck:
+                            max_order: int) -> str | None:
     """Check that the scaled box [-L, L] covers the span of the basis.
 
     The highest retained basis function of order K lives essentially inside
     |x| <= sqrt(2(K+1)) + 1; the box must contain that interval for the
     polynomial surrogate of the potential to see the whole wave packet.
+    Returns the violation message, or None when S * L is large enough.
     """
     if scaling <= 0 or halfwidth <= 0:
         raise ValueError("scaling and halfwidth must be positive")
@@ -132,5 +112,9 @@ def check_support_condition(scaling: float, halfwidth: float,
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     required = math.sqrt(2.0 * (max_order + 1)) + 1.0
     product = scaling * halfwidth
-    return SupportCheck(product >= required, product, required,
-                        product - required)
+    if product >= required:
+        return None
+    return (f"support condition violated: S*L = {product:.4g} < "
+            f"sqrt(2(K+1)) + 1 = {required:.4g} "
+            f"(deficit {required - product:.4g}); the truncated basis is not "
+            f"resolved on [-L, L] and interpolation degrades")

@@ -92,16 +92,6 @@ class IndexSet:
         pos = np.minimum(np.searchsorted(self._keys, keys), self.size - 1)
         return np.where(self._keys[pos] == keys, pos, -1)
 
-    def position(self, index) -> int:
-        """Ordinal of ``index`` in the canonical ordering (KeyError if absent)."""
-        ordinal = int(self.locate(index))
-        if ordinal < 0:
-            raise KeyError(tuple(index))
-        return ordinal
-
-    def index_at(self, ordinal: int) -> tuple[int, ...]:
-        return tuple(self.indices[ordinal].tolist())
-
     def same_as(self, other: "IndexSet") -> bool:
         """Structural equality: the same rows."""
         return self is other or bool(
@@ -161,9 +151,8 @@ def build_full(dim: int, bound: int) -> IndexSet:
     """Full cube {k : 0 <= k_l <= bound}, size (bound+1)**dim."""
     _check_dim_bound(dim, bound)
     check_size((bound + 1) ** dim, "full-cube members")
-    ranges = [np.arange(bound + 1, dtype=np.int64)] * dim
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return IndexSet(np.stack([g.reshape(-1) for g in grids], axis=1))
+    cube = np.indices((bound + 1,) * dim, dtype=np.int64)
+    return IndexSet(cube.reshape(dim, -1).T)
 
 
 def build_hyperbolic(dim: int, bound: int) -> IndexSet:
@@ -212,20 +201,6 @@ def from_indices(indices: Iterable[Sequence[int]]) -> IndexSet:
             f"but {tuple((arr[i] - np.eye(dim, dtype=np.int64)[a]).tolist())}"
             " missing")
     return iset
-
-
-def neighbor(iset: IndexSet, index, axis: int, delta: int) -> int | None:
-    """Ordinal of index +- e_axis, or None when the neighbor is absent.
-
-    Absence (outside the cube, or pruned by a reduced set) is an ordinary
-    result, never an error; ``axis`` is 1-based, ``delta`` is +1 or -1.
-    """
-    _check_axis(axis, iset.dim)
-    if delta not in (-1, 1):
-        raise ValueError(f"delta must be +1 or -1, got {delta}")
-    table = iset.neighbor_ordinals(axis)[(delta + 1) // 2]
-    ordinal = int(table[iset.position(index)])
-    return None if ordinal < 0 else ordinal
 
 
 # -- coefficient vectors --------------------------------------------------------

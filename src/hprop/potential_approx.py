@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .index_set import check_size
 
@@ -51,17 +52,6 @@ TORSIONAL_HO = "torsional-ho"
 HENON_HEILES = "henon-heiles"
 
 
-def chebyshev_recurrence(y: np.ndarray, max_degree: int) -> np.ndarray:
-    """T_0(y) .. T_R(y) by the three-term recurrence, for any real 1-D y."""
-    out = np.empty((max_degree + 1, y.shape[0]), dtype=np.float64)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = y
-    for k in range(1, max_degree):
-        out[k + 1] = 2.0 * y * out[k] - out[k - 1]
-    return out
-
-
 def chebyshev_values(y, max_degree: int) -> np.ndarray:
     """T_0(y) .. T_R(y) on [-1, 1]; shape (R+1,) scalar / (R+1, len(y)) array."""
     if max_degree < 0:
@@ -71,7 +61,7 @@ def chebyshev_values(y, max_degree: int) -> np.ndarray:
     yy = np.atleast_1d(y)
     if np.any(np.abs(yy) > 1.0 + _CUBE_SLACK):
         raise ValueError("argument outside [-1, 1]")
-    out = chebyshev_recurrence(np.clip(yy, -1.0, 1.0), max_degree)
+    out = chebvander(np.clip(yy, -1.0, 1.0), max_degree).T
     return out[:, 0] if scalar else out
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from hprop import (
     MagnusScheme,
+    OracleHamiltonian,
     assemble_quad_galerkin,
     assemble_with_rule,
     build_full,
@@ -168,7 +169,7 @@ def propagation_study():
     iset = build_hyperbolic(2, 40)
     spec = henon_heiles_perturbed(2)
     y0 = make_decay_vector(iset, 3).data.astype(np.complex128)
-    reference = build_reference(iset, spec, 3, y0)
+    reference = build_reference(OracleHamiltonian(iset, spec, 3), y0)
     midpoint = propagate_and_compare(
         iset, spec, 3, 3, MagnusScheme.from_name("midpoint"),
         [10, 20, 40, 80, 160], 7, reference=reference)

@@ -153,10 +153,31 @@ def test_usage_errors_exit_one(capsys):
         ["propagate", "--reference-steps", "8"],
         ["propagate", "--reference-lanczos", "4"],
         ["bench", "--jobs", "0"],
+        ["rederr", "--degree", "-1"],
+        ["rederr", "--halfwidth", "0"],
+        ["rederr", "--halfwidth", "nan"],
+        ["rederr", "--halfwidth", "inf"],
+        ["rederr", "--scale", "-2"],
+        ["verify", "--seed", "-1"],
     ]
     for argv in cases:
         code, _, err = run(argv, capsys)
         assert code == EXIT_USAGE, argv
+
+
+# degree 8 on K = 12 has a thin margin; the comparison does not depend on it
+@pytest.mark.filterwarnings("ignore:surrogate degree:UserWarning")
+def test_scale_dilates_the_surrogate_box(capsys):
+    # torsional is 1 - cos(x / L): with S = 2 and L = 8 the recurrence sees
+    # 1 - cos(u / 16) in node coordinates u = S x, the S = 1, L = 16 surrogate
+    argv = ["rederr", "--kmax", "12,20"]
+    code, dilated, _ = run(argv + ["--halfwidth", "8", "--scale", "2"], capsys)
+    assert code == EXIT_OK
+    code, plain, _ = run(argv + ["--halfwidth", "16"], capsys)
+    assert code == EXIT_OK
+    assert parse_csv(dilated)[2] == parse_csv(plain)[2]
+    code, undilated, _ = run(argv + ["--halfwidth", "8"], capsys)
+    assert parse_csv(undilated)[2] != parse_csv(plain)[2]
 
 
 def test_dilated_splitting_is_rejected(capsys):
@@ -181,7 +202,7 @@ def test_propagate_rejects_steps_that_do_not_tile_the_interval(capsys):
 
 def test_propagate_refuses_a_reference_that_does_not_converge(capsys,
                                                               monkeypatch):
-    from hprop import build_hyperbolic, build_reference, \
+    from hprop import OracleHamiltonian, build_hyperbolic, build_reference, \
         henon_heiles_perturbed, make_decay_vector
 
     argv = ["propagate", "--kmax", "6", "--degree", "3", "--h", "1/2"]
@@ -194,7 +215,8 @@ def test_propagate_refuses_a_reference_that_does_not_converge(capsys,
     iset = build_hyperbolic(2, 6)
     y0 = make_decay_vector(iset, 3).data.astype(complex)
     with pytest.raises(RuntimeError, match="80 and 40 gl2 steps"):
-        build_reference(iset, henon_heiles_perturbed(2), 3, y0)
+        build_reference(OracleHamiltonian(iset, henon_heiles_perturbed(2), 3),
+                        y0)
     code, out, err = run(argv, capsys)
     assert code == EXIT_NUMERICAL
     assert out == ""

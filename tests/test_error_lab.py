@@ -12,7 +12,6 @@ from hprop import (
     henon_heiles_perturbed,
     interpolate,
     lanczos_perturbation_error,
-    lanczos_truncation_error,
     make_decay_vector,
     propagate_and_compare,
     propagate_magnus,
@@ -27,9 +26,8 @@ from hprop import error_lab
 
 def test_decay_vector_values_and_normalization():
     iset = build_full(1, 2)
-    raw = make_decay_vector(iset, 1, normalized=False)
-    assert np.allclose(raw.data, [1.0, 1.0, 0.5])
     unit = make_decay_vector(iset, 1)
+    assert np.allclose(unit.data * 1.5, [1.0, 1.0, 0.5])
     assert np.linalg.norm(unit.data) == pytest.approx(1.0, rel=1e-15)
     assert np.argmax(unit.data) == 0
     with pytest.raises(ValueError, match="positive integer"):
@@ -38,10 +36,11 @@ def test_decay_vector_values_and_normalization():
 
 def test_decay_vector_is_separable_product():
     iset = build_hyperbolic(2, 8)
-    v = make_decay_vector(iset, 3, normalized=False)
+    v = make_decay_vector(iset, 3)
     for i, (k1, k2) in enumerate(iset.indices.tolist()):
         want = max(k1, 1) ** -3.0 * max(k2, 1) ** -3.0
-        assert v.data[i] == pytest.approx(want, rel=1e-14)
+        # the origin's raw component is 1
+        assert v.data[i] / v.data[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_quadrature_error_zero_inside_exactness_window():
@@ -90,7 +89,7 @@ def test_local_mask_identifies_interior():
     approx = interpolate(torsional(2), 4)
     mask = reduction_local_mask(iset, approx)
     # the origin sees all its recurrence paths inside any downward closed set
-    assert mask[iset.position((0, 0))]
+    assert mask[iset.locate((0, 0))]
     degs = approx.degrees.tolist()
     for i, j in enumerate(iset.indices.tolist()):
         inside = all(tuple(a + b for a, b in zip(j, r)) in iset
@@ -136,6 +135,17 @@ def test_oracle_matrix_is_hermitian_and_time_dependent():
     assert np.max(np.abs(m1 - m0)) > 1e-3
 
 
+@pytest.mark.parametrize("cls", [FastHamiltonian, OracleHamiltonian])
+@pytest.mark.parametrize("set_dim, spec_dim", [(2, 3), (3, 2)])
+def test_hamiltonians_refuse_a_potential_of_another_dimension(cls, set_dim,
+                                                              spec_dim):
+    # a wider spec would silently drop its extra axes, a narrower one
+    # would index past its own
+    iset = build_hyperbolic(set_dim, 12)
+    with pytest.raises(ValueError, match="potential dimension"):
+        cls(iset, henon_heiles_perturbed(spec_dim), 3)
+
+
 # -- single-step and propagated error measurements ------------------------------
 
 
@@ -159,14 +169,6 @@ def test_perturbation_bound_dominates_measurement():
     assert res.error < res.bound
 
 
-def test_truncation_error_grows_with_shrinking_subspace():
-    iset = build_hyperbolic(2, 10)
-    spec = torsional_minus_harmonic(2)
-    small = lanczos_truncation_error(iset, spec, 8, 3, 0.1, 3)
-    large = lanczos_truncation_error(iset, spec, 8, 3, 0.1, 8)
-    assert large < small
-
-
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_propagation_rows_structure_and_scheme_decay():
     iset = build_hyperbolic(2, 10)
@@ -182,6 +184,29 @@ def test_propagation_rows_structure_and_scheme_decay():
     assert rows[0].perturbation_error < rows[0].scheme_error
 
 
+def test_propagation_study_assembles_each_term_once(monkeypatch):
+    # the reference reuses the study's own oracle, so no term matrix is
+    # assembled twice
+    built, assembled = [], []
+
+    class Spy(OracleHamiltonian):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def count(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    assemble = error_lab.assemble_quad_galerkin
+    monkeypatch.setattr(error_lab, "OracleHamiltonian", Spy)
+    monkeypatch.setattr(error_lab, "assemble_quad_galerkin", count)
+    propagate_and_compare(build_hyperbolic(2, 6), henon_heiles_perturbed(2),
+                          3, 3, MagnusScheme.from_name("midpoint"), [4], 5)
+    assert len(built) == 1
+    assert len(assembled) == len(built[0]._terms) > 0
+
+
 def test_reference_agrees_with_a_fixed_step_run_four_times_finer(monkeypatch):
     # time dependence strong enough that doubling climbs several levels
     iset = build_hyperbolic(2, 6)
@@ -195,7 +220,7 @@ def test_reference_agrees_with_a_fixed_step_run_four_times_finer(monkeypatch):
                                 krylov_steps)
 
     monkeypatch.setattr(error_lab, "propagate_magnus", spy)
-    reference = build_reference(iset, ham.potential, ham.degree, y0)
+    reference = build_reference(ham, y0)
     assert levels[0] == error_lab.REFERENCE_MIN_STEPS
     assert len(levels) > 2
     assert all(b == 2 * a for a, b in zip(levels, levels[1:]))

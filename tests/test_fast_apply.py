@@ -17,9 +17,7 @@ from hprop import (
     assemble_square_sum,
     build_full,
     build_hyperbolic,
-    cheb_of_coordinate_apply,
     custom_potential,
-    direct_op,
     fast_algorithm,
     gauss_hermite_rule,
     get_applier,
@@ -41,12 +39,24 @@ def dense_coordinate(iset, axis):
         below = list(row)
         below[axis - 1] = k - 1
         if k > 0 and tuple(below) in iset:
-            mat[i, iset.position(tuple(below))] = math.sqrt(k / 2.0)
+            mat[i, iset.locate(below)] = math.sqrt(k / 2.0)
         above = list(row)
         above[axis - 1] = k + 1
         if tuple(above) in iset:
-            mat[i, iset.position(tuple(above))] = math.sqrt((k + 1) / 2.0)
+            mat[i, iset.locate(above)] = math.sqrt((k + 1) / 2.0)
     return mat
+
+
+def cheb_of_coordinate(iset, axis, degree, halfwidth, v):
+    """T_degree(X_axis / halfwidth) v, applied as a one-term surrogate."""
+    degrees = np.zeros((1, iset.dim), dtype=np.int64)
+    degrees[0, axis - 1] = degree
+    term = ChebApprox(dim=iset.dim, degree=degree, halfwidth=halfwidth,
+                      time=0.0, degrees=degrees, coeffs=np.ones(1))
+    # the degree-margin warning says nothing about the operator itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return fast_algorithm(iset, term, v)
 
 
 def cheb_of_matrix(mat, deg):
@@ -82,8 +92,8 @@ def per_term_surrogate(iset, approx, v, order):
     for row, alpha in approx.terms:
         w = CoeffVector(iset, v)
         for axis in order:
-            w = cheb_of_coordinate_apply(iset, axis, row[axis - 1],
-                                         approx.halfwidth, w)
+            w = cheb_of_coordinate(iset, axis, row[axis - 1],
+                                   approx.halfwidth, w)
         out += alpha * w.data
     return out
 
@@ -107,7 +117,7 @@ def gaussian_well_spec(dim):
 def test_coordinate_apply_matches_coupling_rule(dim, bound, axis, rng):
     iset = build_hyperbolic(dim, bound)
     v = CoeffVector(iset, rng.standard_normal(iset.size))
-    got = direct_op(iset, axis, v)
+    got = cheb_of_coordinate(iset, axis, 1, 1.0, v)
     want = dense_coordinate(iset, axis) @ v.data
     assert np.max(np.abs(got.data - want)) < 1e-14
 
@@ -115,10 +125,10 @@ def test_coordinate_apply_matches_coupling_rule(dim, bound, axis, rng):
 def test_coordinate_apply_respects_pruned_neighbors():
     iset = build_hyperbolic(2, 10)
     e = np.zeros(iset.size)
-    e[iset.position((2, 2))] = 1.0
-    out = direct_op(iset, 1, CoeffVector(iset, e)).data
+    e[iset.locate((2, 2))] = 1.0
+    out = cheb_of_coordinate(iset, 1, 1, 1.0, CoeffVector(iset, e)).data
     # (3, 2) is pruned, so only the downward coupling survives
-    assert out[iset.position((1, 2))] == pytest.approx(math.sqrt(1.0))
+    assert out[iset.locate((1, 2))] == pytest.approx(math.sqrt(1.0))
     assert np.count_nonzero(out) == 1
 
 
@@ -127,7 +137,7 @@ def test_chebyshev_of_coordinate_matches_matrix_recurrence(deg, rng):
     iset = build_hyperbolic(2, 12)
     L = 16.0
     v = CoeffVector(iset, rng.standard_normal(iset.size))
-    got = cheb_of_coordinate_apply(iset, 1, deg, L, v)
+    got = cheb_of_coordinate(iset, 1, deg, L, v)
     want = cheb_of_matrix(dense_coordinate(iset, 1) / L, deg) @ v.data
     assert np.max(np.abs(got.data - want)) < 1e-12
 

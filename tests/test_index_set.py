@@ -9,7 +9,6 @@ from hprop import (
     build_hyperbolic,
     extend,
     from_indices,
-    neighbor,
     restrict,
 )
 
@@ -43,10 +42,8 @@ def recursive_hyperbolic(dim, bound):
 def test_full_cube_size_and_order():
     iset = build_full(2, 3)
     assert iset.size == 16
-    assert iset.index_at(0) == (0, 0)
     # lexicographic: second component varies fastest
-    assert iset.index_at(1) == (0, 1)
-    assert iset.index_at(iset.size - 1) == (3, 3)
+    assert iset.indices[[0, 1, -1]].tolist() == [[0, 0], [0, 1], [3, 3]]
 
 
 @given(st.integers(1, 4), st.integers(0, 6))
@@ -88,34 +85,33 @@ def test_hyperbolic_downward_closed(dim, bound):
 
 def test_position_roundtrip():
     iset = build_hyperbolic(3, 8)
-    for ordinal in range(iset.size):
-        assert iset.position(iset.index_at(ordinal)) == ordinal
+    assert iset.locate(iset.indices).tolist() == list(range(iset.size))
+    for ordinal, row in enumerate(iset):
+        assert int(iset.locate(row)) == ordinal
 
 
 def test_contains_and_position_reject_absent():
     iset = build_hyperbolic(2, 10)
     assert (2, 2) in iset          # product 9 <= 11
     assert (4, 3) not in iset      # product 20 > 11
-    with pytest.raises(KeyError):
-        iset.position((4, 3))
     # batched lookup; rows with negative components are absent, not errors
     got = iset.locate([[2, 2], [4, 3], [-1, 0]])
-    assert got.tolist() == [iset.position((2, 2)), -1, -1]
+    assert got.tolist() == [int(iset.locate((2, 2))), -1, -1]
+    assert int(iset.locate((2, 2))) >= 0
+    with pytest.raises(ValueError, match="trailing dimension"):
+        iset.locate((2, 2, 0))
 
 
 def test_neighbor_walks_and_pruning():
     iset = build_hyperbolic(2, 10)
-    j = (2, 2)
-    assert neighbor(iset, j, 1, -1) == iset.position((1, 2))
+    j = int(iset.locate((2, 2)))
+    down, up = iset.neighbor_ordinals(1)
+    assert down[j] == iset.locate((1, 2))
     # (3, 2) has product 12 > 11, pruned
-    assert neighbor(iset, j, 1, +1) is None
-    assert neighbor(iset, (0, 0), 1, -1) is None
-    with pytest.raises(KeyError):
-        neighbor(iset, (9, 9), 1, 1)
+    assert up[j] == -1
+    assert down[iset.locate((0, 0))] == -1
     with pytest.raises(ValueError):
-        neighbor(iset, j, 1, 2)
-    with pytest.raises(ValueError):
-        neighbor(iset, j, 3, 1)
+        iset.neighbor_ordinals(3)
 
 
 def reference_neighbors(iset, axis):
