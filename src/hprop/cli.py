@@ -11,7 +11,10 @@ Subcommands mirror the studies the library is built for:
 
 All numeric output is CSV on stdout (or ``--out``), full config echoed in
 ``# key=value`` header lines, floats at 17 significant digits.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 numerical failure.
+0 success, 1 usage error, 2 verification failure, 3 numerical failure.  An
+``--out`` whose directory is missing or unwritable is a usage error before
+any work starts; a later failure to write it also exits 1, with an
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -117,6 +121,19 @@ def _positive_float(text: str) -> float:
     return val
 
 
+def _output_path(text: str) -> str:
+    """argparse type: a file path in an existing, writable directory."""
+    parent = os.path.dirname(text) or "."
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no directory {parent!r}")
+    if not os.access(parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"directory {parent!r} is not "
+                                         "writable")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hprop", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=_nonnegative_int, default=0,
                            help="PRNG seed for random vectors (default 0)")
-        p.add_argument("--out", default=None,
+        p.add_argument("--out", type=_output_path, default=None,
                        help="output file (default stdout)")
 
     p = sub.add_parser("bench", help="time fast apply vs dense oracle")
@@ -450,6 +467,10 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # only _write_lines touches the file system
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

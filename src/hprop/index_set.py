@@ -16,8 +16,11 @@ component, and the set is a full cube exactly when it has (K+1)^N rows.
 
 Each set fixes a canonical ordering of its members, lexicographic in
 (k_1, ..., k_N).  Coefficient vectors (:class:`CoeffVector`) are stored
-densely in that ordering; the ordinal of an index is recovered by a binary
-search over the set's row keys (:meth:`IndexSet.locate`).
+densely in that ordering; the ordinal of an index is recovered by binary
+searches over int64 prefix keys (:meth:`IndexSet.locate`): the axes are cut
+into runs, and a run's key reads its components as digits in base K + 1
+after the rank of the row's prefix before the run.  Up to 8-D at K = 60 one
+run covers every axis; the position of a row's last key is its ordinal.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ import numpy as np
 # benchmark build (81**3 cubes, 9**6 grids) stays far below it.
 MAX_ELEMENTS = 1 << 24
 
+# Every key of a stored row, or of a searched row in range, stays below this,
+# clear of int64's 2**63.
+_KEY_LIMIT = 1 << 62
+
 
 class IndexSet:
     """An immutable, canonically ordered collection of multi-indices.
@@ -38,10 +45,12 @@ class IndexSet:
     Instances should be built through :func:`build_full`,
     :func:`build_hyperbolic` or :func:`from_indices`.  The ``indices`` array
     has shape (size, dim), is sorted lexicographically and is read-only;
-    ``dim`` and ``bound`` are read off it.
+    ``dim`` and ``bound`` are read off it.  Beside the rows it keeps one
+    sorted array of distinct int64 keys per run of axes, so a set must have
+    size * (bound + 1) <= 2**62.
     """
 
-    __slots__ = ("dim", "bound", "indices", "_keys", "_derived",
+    __slots__ = ("dim", "bound", "indices", "_levels", "_derived",
                  "__weakref__")
 
     def __init__(self, indices: np.ndarray):
@@ -51,16 +60,32 @@ class IndexSet:
         if indices.shape[0] == 0 or indices.min() < 0:
             raise ValueError("an index set needs at least one index and "
                              "nonnegative components")
-        # locate() searches the keys, so the rows must ascend strictly
-        step = np.diff(indices, axis=0)
-        if np.any(step[np.arange(len(step)), np.argmax(step != 0, 1)] <= 0):
-            raise ValueError("indices must be distinct and in canonical "
-                             "(lexicographic) order")
+        (size, dim), bound = indices.shape, int(indices.max())
+        if size * (bound + 1) > _KEY_LIMIT:
+            raise ValueError(f"{size} rows with components up to {bound} do "
+                             "not fit the int64 row keys")
+        # Each run of axes is as long as keeps every key below _KEY_LIMIT.
+        # The rows ascend strictly exactly when every level's keys ascend and
+        # the last level's strictly, which locate() relies on.
+        levels, rank, distinct, lo = [], 0, 1, 0
+        while lo < dim:
+            hi = lo + 1
+            while (hi < dim and
+                   distinct * (bound + 1) ** (hi + 1 - lo) <= _KEY_LIMIT):
+                hi += 1
+            keys = _run_keys(rank, indices, lo, hi, bound + 1)
+            step = np.diff(keys)
+            if np.any(step <= 0 if hi == dim else step < 0):
+                raise ValueError("indices must be distinct and in canonical "
+                                 "(lexicographic) order")
+            new = np.concatenate(([True], step > 0))
+            levels.append((lo, hi, keys[new]))
+            rank, distinct, lo = np.cumsum(new) - 1, levels[-1][2].size, hi
         indices.setflags(write=False)
-        self.dim = indices.shape[1]
-        self.bound = int(indices.max())
+        self.dim = dim
+        self.bound = bound
         self.indices = indices
-        self._keys = _row_keys(indices)
+        self._levels = tuple(levels)
         # neighbor tables per axis, built on first use
         self._derived: dict = {}
 
@@ -88,9 +113,27 @@ class IndexSet:
         if rows.shape[-1:] != (self.dim,):
             raise ValueError(f"rows must have trailing dimension {self.dim}, "
                              f"got shape {rows.shape}")
-        keys = _row_keys(rows)
-        pos = np.minimum(np.searchsorted(self._keys, keys), self.size - 1)
-        return np.where(self._keys[pos] == keys, pos, -1)
+        flat = rows.reshape(-1, self.dim)
+        # The ordinals outlive every temporary below.  Allocated first, they
+        # do not sit in the heap above the space the temporaries free, which
+        # the process could then not give back.
+        out = np.full(len(flat), -1, dtype=np.intp)
+        # A negative component reads as a huge unsigned one.  An out-of-range
+        # row's key is garbage, but the row is already not found.  Columns
+        # one at a time: numpy reduces a short last axis slowly.
+        found = np.ones(len(flat), dtype=bool)
+        for column in flat.view(np.uint64).T:
+            found &= column <= self.bound
+        pos = 0
+        for lo, hi, keys in self._levels:
+            key = _run_keys(pos, flat, lo, hi, self.bound + 1)
+            # a row past the last key is not found; clipping it keeps the
+            # next level's prefix rank below the number of prefixes
+            pos = np.searchsorted(keys, key)
+            np.minimum(pos, keys.size - 1, out=pos)
+            found &= keys[pos] == key
+        np.copyto(out, pos, where=found)
+        return out.reshape(rows.shape[:-1])
 
     def same_as(self, other: "IndexSet") -> bool:
         """Structural equality: the same rows."""
@@ -122,11 +165,14 @@ class IndexSet:
         return down, up
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row's big-endian int64 words as one opaque key; for nonnegative
-    rows the keys' byte order is the canonical order at any dim and bound."""
-    words = np.ascontiguousarray(rows, dtype=">i8")
-    return words.view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+def _run_keys(prefix_rank, rows: np.ndarray, lo: int, hi: int,
+              base: int) -> np.ndarray:
+    """prefix_rank * base**(hi - lo) plus rows[:, lo:hi] read in ``base``."""
+    key = prefix_rank * base + rows[:, lo]
+    for a in range(lo + 1, hi):
+        key *= base
+        key += rows[:, a]
+    return key
 
 
 def _check_dim_bound(dim: int, bound: int) -> None:

@@ -233,6 +233,34 @@ def test_verify_detects_wrong_quadrature_order(capsys):
     assert "quadrature moments M=8: PASS" in out
 
 
+def test_unwritable_out_is_refused_before_the_study(tmp_path, capsys,
+                                                     monkeypatch):
+    def study(args):
+        pytest.fail("the study ran before --out was checked")
+
+    for command in ("verify", "rederr"):
+        monkeypatch.setattr(f"hprop.cli.cmd_{command}", study)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, text, err = run([command, "--kmax", "2", "--out", str(out)],
+                                  capsys)
+            assert code == EXIT_USAGE, (command, out)
+            assert text == ""
+            assert "error: argument --out:" in err
+
+
+def test_failed_write_of_out_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("hprop.cli.open", refuse, raising=False)
+    code, out, err = run(["verify", "--kmax", "2", "--out",
+                          str(tmp_path / "x.csv")], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: cannot write --out: [Errno 28] No space left on "
+                   "device\n")
+
+
 def test_dense_cap_failure_exits_numerical(capsys, monkeypatch):
     monkeypatch.setenv("HPROP_DENSE_CAP", "10")
     code, _, err = run(["quaderr", "--kmax", "10", "--degree", "4",

@@ -102,6 +102,30 @@ def test_contains_and_position_reject_absent():
         iset.locate((2, 2, 0))
 
 
+@pytest.mark.parametrize("iset", [
+    build_full(3, 20),
+    # 41**12 and 11**20 exceed 2**62: these keys take two levels
+    build_hyperbolic(12, 40),
+    build_hyperbolic(20, 10),
+    # not downward closed
+    IndexSet(np.array([[0, 2], [1, 1], [3, 0], [3, 1], [7, 0]])),
+], ids=["cube3d-K20", "cross12d-K40", "cross20d-K10", "not-closed"])
+def test_locate_matches_a_dict_of_rows(iset, rng):
+    pos = {row: i for i, row in enumerate(map(tuple, iset.indices.tolist()))}
+    picks = iset.indices[rng.integers(0, iset.size, 400)]
+    queries = [picks, picks + rng.integers(-1, 2, picks.shape)]
+    # in the cube, (0, 1, -1) and (0, 0, 21) would read as the digits of
+    # members; 2**40 wraps a key in the 12-D and 20-D sets
+    for bad in (-1, iset.bound + 1, 2 ** 40):
+        q = picks.copy()
+        q[np.arange(len(q)), rng.integers(0, iset.dim, len(q))] = bad
+        queries.append(q)
+    for q in queries:
+        expected = [pos.get(row, -1) for row in map(tuple, q.tolist())]
+        assert iset.locate(q).tolist() == expected
+    assert iset.locate(picks[:12].reshape(3, 4, iset.dim)).shape == (3, 4)
+
+
 def test_neighbor_walks_and_pruning():
     iset = build_hyperbolic(2, 10)
     j = int(iset.locate((2, 2)))
@@ -133,9 +157,10 @@ def test_neighbor_ordinals_match_scalar_walks():
         build_hyperbolic(3, 15), build_hyperbolic(4, 10),
         from_indices([(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1),
                       (2, 0, 0), (0, 0, 2), (3, 0, 0)]),
-        # 9**20 > 2**63: no mixed-radix int64 key could encode this set
+        # 9**20 > 2**62: its int64 keys take two levels
         build_hyperbolic(20, 8),
         build_hyperbolic(6, 80),
+        build_hyperbolic(12, 40),
         # not downward closed: up tables still hold for arbitrary rows
         IndexSet(np.array([[0, 2], [1, 1], [3, 0], [3, 1]])),
     ]
@@ -156,6 +181,14 @@ def test_index_set_rejects_unsorted_rows():
         IndexSet(np.array([[0, 0], [0, 1], [0, 1]]))
     with pytest.raises(ValueError, match="nonnegative"):
         IndexSet(np.array([[0, -1], [0, 0]]))
+    # two rows of a two-level set that differ only in the last axis, beyond
+    # the first run of axes, swapped
+    rows = build_hyperbolic(12, 40).indices.copy()
+    i = np.flatnonzero(np.diff(rows[:, -1]) > 0)[5]
+    assert np.array_equal(rows[i, :-1], rows[i + 1, :-1])
+    rows[[i, i + 1]] = rows[[i + 1, i]]
+    with pytest.raises(ValueError, match="canonical"):
+        IndexSet(rows)
 
 
 def test_index_set_reads_dim_and_bound_off_its_rows():
@@ -178,6 +211,9 @@ def test_from_indices_validates_closure():
         from_indices([])
     with pytest.raises(ValueError, match=r"\(1,\) does not have dimension 2"):
         from_indices([(0, 0), (1,)])
+    # 3 rows times 2**62 + 1 digit values would overflow an int64 key
+    with pytest.raises(ValueError, match="int64"):
+        from_indices([(0, 0), (1, 0), (1, 2 ** 62)])
 
 
 def test_restrict_extend_roundtrip(rng):
