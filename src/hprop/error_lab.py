@@ -70,10 +70,11 @@ def quadrature_error(iset: IndexSet, approx: ChebApprox,
     Both matrices come from the dense oracle; the quadrature one uses the
     rule of order K that the insertion algorithm implicitly realizes, the
     exact one an over-resolved rule that integrates every entry exactly.
+    The exact one comes first: it checks the dense cap before any rule.
     """
-    rule = gauss_hermite_rule(iset.bound)
-    wq = assemble_quad_galerkin(iset, approx, rule).matrix
     wx = assemble_exact_galerkin(iset, approx).matrix
+    wq = assemble_quad_galerkin(iset, approx,
+                                gauss_hermite_rule(iset.bound)).matrix
     comp = np.abs((wx - wq) @ v.data)
     return ErrorReport(iset, comp)
 

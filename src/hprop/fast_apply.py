@@ -39,10 +39,10 @@ from .potential_approx import ChebApprox
 class PolynomialApplier:
     """Workspace-backed applier bound to one index set.
 
-    Gathers read the set's own neighbor tables: vectors carry a zero in an
-    extra last slot, which an absent neighbor's -1 picks.  The x**2 tables
-    are built on first use; the per-call scratch vectors are allocated inside
-    each apply, so one applier can serve concurrent callers.
+    It keeps the set's neighbor tables, the only copy: gathered vectors
+    carry a zero in an extra last slot, which an absent neighbor's -1 picks.
+    The x**2 tables are built on first use; the per-call scratch vectors are
+    allocated inside each apply, so one applier can serve concurrent callers.
     """
 
     def __init__(self, iset: IndexSet):

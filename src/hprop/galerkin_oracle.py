@@ -13,9 +13,13 @@ rule of order K + R the one-dimensional integrands are polynomials of degree
 at most 2K + R times the Gaussian, so the quadrature is exact and the result
 is the true Galerkin matrix of the surrogate.
 
+The coordinate and x**2 matrices write their closed-form entries at the
+partners ``IndexSet.locate`` finds, never through the fast applier's neighbor
+tables, and so check them; on any set of rows they restrict exactly.
+
 Assembly cost is O(size**2 * nterms * M * dim) and is guarded by a size cap,
 20000 rows by default, set only through the ``HPROP_DENSE_CAP`` environment
-variable.
+variable.  The cap is checked before any matrix or rule is built.
 """
 
 from __future__ import annotations
@@ -64,25 +68,31 @@ class DenseOperator:
     matrix: np.ndarray
 
 
+def _couple(mat: np.ndarray, iset: IndexSet, axis: int, step: int,
+            entries: np.ndarray) -> None:
+    """Write entries[i] at (i, p) and (p, i) for every member i whose partner
+    p = i + step * e_axis is a member; a row without one couples to nothing."""
+    shift = step * np.eye(iset.dim, dtype=np.int64)[axis - 1]
+    partner = iset.locate(iset.indices + shift)
+    rows = np.flatnonzero(partner >= 0)
+    mat[rows, partner[rows]] = entries[rows]
+    mat[partner[rows], rows] = entries[rows]
+
+
 def assemble_coordinate(iset: IndexSet, axis: int) -> DenseOperator:
-    """Dense coordinate multiplication matrix X_axis on the set."""
+    """Dense coordinate matrix X_axis: sqrt((j_l + 1) / 2) at j, j + e_axis."""
     if not 1 <= axis <= iset.dim:
         raise ValueError(f"axis must satisfy 1 <= axis <= {iset.dim}, got {axis}")
     _check_cap(iset.size)
-    n = iset.size
-    down, up = iset.neighbor_ordinals(axis)
     jl = iset.indices[:, axis - 1].astype(np.float64)
-    mat = np.zeros((n, n), dtype=np.float64)
-    rows = np.arange(n)
-    has_down = down >= 0
-    mat[rows[has_down], down[has_down]] = np.sqrt(jl[has_down] / 2.0)
-    has_up = up >= 0
-    mat[rows[has_up], up[has_up]] = np.sqrt((jl[has_up] + 1.0) / 2.0)
+    mat = np.zeros((iset.size, iset.size), dtype=np.float64)
+    _couple(mat, iset, axis, 1, np.sqrt((jl + 1.0) / 2.0))
     return DenseOperator(iset, mat)
 
 
 def assemble_oscillator_diagonal(iset: IndexSet) -> DenseOperator:
     """diag(sum_l (j_l + 1/2)), the kinetic-plus-confinement part."""
+    _check_cap(iset.size)
     levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
     return DenseOperator(iset, np.diag(levels))
 
@@ -94,21 +104,10 @@ def assemble_square_sum(iset: IndexSet) -> DenseOperator:
     sqrt((j_l + 1)(j_l + 2)) / 2 coupling j to j + 2 e_l.  Restriction just
     drops couplings with a missing partner; the diagonal is untouched.
     """
-    _check_cap(iset.size)
-    n = iset.size
-    mat = np.diag((iset.indices + 0.5).sum(axis=1).astype(np.float64))
-    rows = np.arange(n)
+    mat = assemble_oscillator_diagonal(iset).matrix
     for axis in range(1, iset.dim + 1):
-        down, up = iset.neighbor_ordinals(axis)
-        down2 = np.append(down, -1)[down]
-        up2 = np.append(up, -1)[up]
         jl = iset.indices[:, axis - 1].astype(np.float64)
-        has_up = up2 >= 0
-        mat[rows[has_up], up2[has_up]] += \
-            np.sqrt((jl[has_up] + 1.0) * (jl[has_up] + 2.0)) / 2.0
-        has_down = (down2 >= 0) & (iset.indices[:, axis - 1] >= 2)
-        mat[rows[has_down], down2[has_down]] += \
-            np.sqrt(jl[has_down] * (jl[has_down] - 1.0)) / 2.0
+        _couple(mat, iset, axis, 2, np.sqrt((jl + 1.0) * (jl + 2.0)) / 2.0)
     return DenseOperator(iset, mat)
 
 
@@ -185,6 +184,7 @@ def assemble_exact_galerkin(iset: IndexSet,
     The rule order K + R integrates every basis-times-surrogate product
     exactly (degree <= 2K + R <= 2 (K + R) + 1).
     """
+    _check_cap(iset.size)
     rule = gauss_hermite_rule(iset.bound + approx.degree)
     return assemble_with_rule(iset, approx, rule)
 

@@ -50,8 +50,7 @@ class IndexSet:
     size * (bound + 1) <= 2**62.
     """
 
-    __slots__ = ("dim", "bound", "indices", "_levels", "_derived",
-                 "__weakref__")
+    __slots__ = ("dim", "bound", "indices", "_levels", "__weakref__")
 
     def __init__(self, indices: np.ndarray):
         indices = np.ascontiguousarray(indices, dtype=np.int64)
@@ -86,8 +85,6 @@ class IndexSet:
         self.bound = bound
         self.indices = indices
         self._levels = tuple(levels)
-        # neighbor tables per axis, built on first use
-        self._derived: dict = {}
 
     # -- basic container protocol -------------------------------------------------
 
@@ -145,15 +142,12 @@ class IndexSet:
     def neighbor_ordinals(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Ordinals of the -1/+1 neighbors along ``axis`` (1-based), -1 if absent.
 
-        Cached per axis; the arrays are read-only.  As gather indices into a
-        (size + 1) vector whose last slot is zero, -1 reads that zero.  Only
+        Built on each call; the arrays are read-only.  As gather indices into
+        a (size + 1) vector whose last slot is zero, -1 reads that zero.  Only
         the down table is searched: j + e_axis is a member exactly when j is
         the down neighbor of a member, so the up table is its inverse.
         """
         _check_axis(axis, self.dim)
-        cached = self._derived.get(axis)
-        if cached is not None:
-            return cached
         down = self.locate(self.indices
                            - np.eye(self.dim, dtype=np.int64)[axis - 1])
         has = down >= 0
@@ -161,7 +155,6 @@ class IndexSet:
         up[down[has]] = np.flatnonzero(has)
         down.setflags(write=False)
         up.setflags(write=False)
-        self._derived[axis] = (down, up)
         return down, up
 
 
@@ -209,6 +202,7 @@ def build_hyperbolic(dim: int, bound: int) -> IndexSet:
     rows = np.zeros((1, 0), dtype=np.int64)
     room = np.array([bound + 1], dtype=np.int64)
     for _ in range(dim):
+        check_size(int(room.sum()), "hyperbolic-cross rows")
         parent = np.repeat(np.arange(room.size), room)
         k = np.arange(parent.size) - (np.cumsum(room) - room)[parent]
         rows = np.column_stack([rows[parent], k])

@@ -287,13 +287,16 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
     L*cos(pi (2i+1) / (2R+2)).  Coefficients come from the discrete cosine
     orthogonality of the node family, applied axis by axis.  A separable
     spec evaluates its ``axis_term`` on the R+1 nodes of one axis only; any
-    other is evaluated on the whole (R+1)**dim grid, which is size-checked
-    before the first evaluation.
+    other is evaluated on the whole (R+1)**dim grid.  The grid and the
+    (R+1)**2 cosine matrix are size-checked before either is built.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     R, N, L = degree, spec.dim, spec.halfwidth
     n = R + 1
+    if spec.axis_term is None:
+        check_size(n ** N, "interpolation grid points")
+    check_size(n * n, "cosine matrix entries")
     theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     # C[k, i] = (2 - delta_{k0})/n * cos(k * theta_i)
     C = np.cos(np.arange(n)[:, None] * theta[None, :]) * (2.0 / n)
@@ -305,7 +308,6 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
         mask = _significant(coeffs)
         degrees = degrees[mask]
     else:
-        check_size(n ** N, "interpolation grid points")
         vals = _grid_values(spec.evaluator, nodes, N, float(time))
         coeffs = _finite(vals).reshape((n,) * N)
         for _ in range(N):

@@ -5,6 +5,8 @@ from hprop import (
     FastHamiltonian,
     MagnusScheme,
     OracleHamiltonian,
+    assemble_exact_galerkin,
+    assemble_oscillator_diagonal,
     build_full,
     build_hyperbolic,
     build_reference,
@@ -21,7 +23,7 @@ from hprop import (
     torsional,
     torsional_minus_harmonic,
 )
-from hprop import error_lab
+from hprop import error_lab, galerkin_oracle
 
 
 def test_decay_vector_values_and_normalization():
@@ -53,6 +55,29 @@ def test_quadrature_error_zero_inside_exactness_window():
     v = make_decay_vector(iset, 3)
     rep = quadrature_error(iset, approx, v)
     assert rep.max_norm < 1e-13
+
+
+def test_dense_cap_refuses_before_any_matrix_or_rule(monkeypatch):
+    built = []
+
+    def spy(order):
+        built.append(order)
+        raise AssertionError("no rule may be built past the cap")
+
+    monkeypatch.setenv("HPROP_DENSE_CAP", "50")
+    monkeypatch.setattr(error_lab, "gauss_hermite_rule", spy)
+    monkeypatch.setattr(galerkin_oracle, "gauss_hermite_rule", spy)
+    iset = build_hyperbolic(2, 20)          # 70 rows > 50
+    approx = interpolate(torsional(2), 4)
+    calls = [lambda: assemble_oscillator_diagonal(iset),
+             lambda: assemble_exact_galerkin(iset, approx),
+             lambda: quadrature_error(iset, approx,
+                                      make_decay_vector(iset, 3)),
+             lambda: OracleHamiltonian(iset, torsional(2), 4).matrix_at(0.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            call()
+    assert built == []
 
 
 def test_quadrature_error_positive_outside_window():

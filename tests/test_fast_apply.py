@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 from hprop import (
     ChebApprox,
     CoeffVector,
+    IndexSet,
     apply_hamiltonian,
+    assemble_coordinate,
     assemble_quad_galerkin,
     assemble_square_sum,
     build_full,
@@ -321,13 +323,36 @@ def test_applier_is_cached_per_set():
 
 def test_applier_gathers_through_the_sets_own_neighbor_tables():
     # the -1 of an absent neighbor gathers the padded zero slot, so the
-    # applier needs no copy of the tables
+    # applier keeps the set's tables as they are, read-only
     iset = build_hyperbolic(3, 12)
     appl = get_applier(iset)
     for axis in range(1, iset.dim + 1):
-        down, up = iset.neighbor_ordinals(axis)
-        assert appl._down[axis - 1] is down
-        assert appl._up[axis - 1] is up
+        for kept, fresh in zip((appl._down[axis - 1], appl._up[axis - 1]),
+                               iset.neighbor_ordinals(axis)):
+            assert kept.dtype == fresh.dtype == np.intp
+            assert np.array_equal(kept, fresh)
+            assert not kept.flags.writeable
+        step = np.eye(iset.dim, dtype=np.int64)[axis - 1]
+        assert np.array_equal(appl._down[axis - 1] == -1,
+                              iset.indices[:, axis - 1] == 0)
+        assert np.array_equal(appl._up[axis - 1] == -1,
+                              iset.locate(iset.indices + step) < 0)
+
+
+def test_applier_keeps_one_copy_of_the_neighbor_tables():
+    # 2N intp tables, 2N coupling arrays and osc_levels, n entries each; the
+    # slack, less than one more such array, covers the Python objects only
+    iset = build_full(3, 12)
+    n, N = iset.size, iset.dim
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        get_applier(iset)                   # kept alive by the cache
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = 2 * N * n * np.dtype(np.intp).itemsize + (2 * N + 1) * n * 8
+    assert arrays <= kept < arrays + n * 8
 
 
 def test_applier_is_freed_with_its_set_by_refcount():
@@ -365,6 +390,30 @@ def test_square_sum_three_routes_agree(rng):
     scale = np.max(np.abs(quad))
     assert np.max(np.abs(assemble_square_sum(iset).matrix - quad)) \
         < 1e-13 * scale
+
+
+def test_ladder_check_catches_a_corrupted_neighbor_table(monkeypatch, rng):
+    # the dense oracle finds its partners without the neighbor tables, so
+    # dropping one axis-1 coupling changes the fast x**2 ladder only
+    tables = IndexSet.neighbor_ordinals
+    clean = build_full(2, 10)
+    x1, dense = (assemble_coordinate(clean, 1).matrix,
+                 assemble_square_sum(clean).matrix)
+    cut = clean.locate([5, 5]), clean.locate([4, 5])
+
+    def corrupted(iset, axis):
+        down, up = (t.copy() for t in tables(iset, axis))
+        if axis == 1:
+            down[cut[0]] = up[cut[1]] = -1
+        return down, up
+
+    monkeypatch.setattr(IndexSet, "neighbor_ordinals", corrupted)
+    iset = build_full(2, 10)
+    assert np.array_equal(assemble_coordinate(iset, 1).matrix, x1)
+    assert np.array_equal(assemble_square_sum(iset).matrix, dense)
+    v = CoeffVector(iset, rng.standard_normal(iset.size))
+    fast = square_sum_apply(iset, v).data
+    assert np.max(np.abs(fast - dense @ v.data)) > 1e-3 * np.max(np.abs(v.data))
 
 
 def test_square_sum_diagonal_survives_pruning():

@@ -11,6 +11,7 @@ from hprop import (
     from_indices,
     restrict,
 )
+from hprop import index_set
 
 # sizes of the product-weighted sets, dim 2, worked out by brute force once
 KNOWN_SIZES_2D = {10: 29, 20: 70, 30: 113, 40: 160, 60: 263, 80: 373, 160: 846}
@@ -70,6 +71,17 @@ def test_hyperbolic_rows_match_recursive_descent(dim, bound):
 def test_hyperbolic_sizes_dim2():
     for bound, size in KNOWN_SIZES_2D.items():
         assert build_hyperbolic(2, bound).size == size
+
+
+def test_hyperbolic_cross_is_size_checked_level_by_level(monkeypatch):
+    # a 1-D cross is the (K+1)-cube build_full refuses; the 2-D K = 400
+    # cross holds 2470 rows, which its second level must refuse to repeat
+    monkeypatch.setattr(index_set, "MAX_ELEMENTS", 1000)
+    assert build_hyperbolic(1, 999).size == 1000
+    for dim, bound, rows in [(1, 1000, 1001), (2, 400, 2470)]:
+        with pytest.raises(ValueError, match=f"^{rows} hyperbolic-cross rows "
+                                             "exceed the limit of 1000"):
+            build_hyperbolic(dim, bound)
 
 
 @given(st.integers(1, 3), st.integers(0, 10))

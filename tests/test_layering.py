@@ -1,5 +1,6 @@
 """Modules of the package use each other only through public names, only
-the CLI writes files, and every public name has a caller besides the tests.
+the CLI writes files, only the index set and the fast applier read neighbor
+tables, and every public name has a caller besides the tests.
 
 A ``_``-prefixed name is private to the module or object that defines it:
 no module imports one from another hprop module, and no code reads one off
@@ -81,6 +82,32 @@ def test_checker_flags_private_imports_and_attribute_reads(tmp_path):
     assert private_uses(probe) == [
         (1, "import _hidden"), (2, "import _other"),
         (5, "iset._derived"), (6, "type(self)._own")]
+
+
+def attribute_reads(path, attr):
+    """(line, text) of every read of ``.attr`` in one file."""
+    return sorted((node.lineno, ast.unparse(node)) for node in
+                  ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_only_the_index_set_and_the_applier_read_neighbor_tables():
+    # the dense oracle finds partners through locate, so checking the fast
+    # apply against it checks the tables, not the tables against themselves
+    readers = {path.name for path in SOURCES
+               if attribute_reads(path, "neighbor_ordinals")}
+    assert readers == {"index_set.py", "fast_apply.py"}
+
+
+def test_checker_finds_attribute_reads_but_not_definitions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def neighbor_ordinals(axis):\n"
+        "    return iset.neighbor_ordinals(axis)[0], self.neighbor_ordinals\n"
+        "iset.neighbor_ordinals = None\n")
+    assert attribute_reads(probe, "neighbor_ordinals") == [
+        (2, "iset.neighbor_ordinals"), (2, "self.neighbor_ordinals")]
 
 
 def test_only_the_cli_writes_files():

@@ -20,6 +20,7 @@ from hprop import (
     torsional,
     torsional_minus_harmonic,
 )
+from hprop import index_set
 from hprop.potential_approx import DROP_THRESHOLD, GRID_BLOCK
 
 
@@ -106,6 +107,19 @@ def test_oversized_grid_is_refused_before_any_evaluation():
 
     with pytest.raises(ValueError, match="^387420489 interpolation grid"):
         interpolate(custom_potential(spy, 9, 16.0), 8)
+
+
+def test_cosine_matrix_is_size_checked_on_every_route(monkeypatch):
+    # (R + 1)**2 = 1681 entries: the separable route and the 1-D tensor
+    # route, whose 41-point grid fits, must both refuse before building it
+    def spy(pts, t):
+        raise AssertionError("the evaluator must not be called")
+
+    monkeypatch.setattr(index_set, "MAX_ELEMENTS", 1000)
+    for spec in (torsional(1), custom_potential(spy, 1, 4.0)):
+        with pytest.raises(ValueError, match="^1681 cosine matrix entries"):
+            interpolate(spec, 40)
+    assert interpolate(torsional(1), 30).nterms > 0
 
 
 def test_interpolate_rejects_non_finite_potential():
