@@ -6,9 +6,15 @@ sparse two-band operation
     (X_l v)_j = sqrt(j_l / 2) * v_{j - e_l} + sqrt((j_l + 1) / 2) * v_{j + e_l},
 
 where a missing neighbor, whether outside the cube or pruned away by a
-reduced index set, contributes zero.  Chebyshev polynomials of X_l / L then
-follow from the three-term recurrence on whole coefficient vectors, and a
-tensor surrogate sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
+reduced index set, contributes zero.  Both bands come from one table per
+axis, c_l[j] = sqrt(j_l / 2): the upper coefficient of row j is c_l at its
+up neighbor j + e_l, so X_l v = c_l * v[down_l] + (c_l * v)[up_l].  The
+tables are kept in the vector's dtype with the recurrence factor 2 / L
+folded in, so a sweep is two gathers, two like-typed multiplies and an add
+(when 2 / L is a power of two, as for L = 16, folding it in rounds nothing).
+Chebyshev polynomials of X_l / L then follow from the three-term recurrence
+on whole coefficient vectors, and a tensor surrogate
+sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
 O(sum_r |r| * size) instead of a dense matrix multiply.  All terms share
 their sweeps: the degree tuples form a trie in application order, each node
 off the last-applied axis runs one recurrence sweep up to the largest degree
@@ -41,32 +47,46 @@ class PolynomialApplier:
 
     It keeps the set's neighbor tables, the only copy: gathered vectors
     carry a zero in an extra last slot, which an absent neighbor's -1 picks.
-    The x**2 tables are built on first use; the per-call scratch vectors are
-    allocated inside each apply, so one applier can serve concurrent callers.
+    Each axis has one coupling table c_a = sqrt(k_a / 2), padded with a zero
+    in slot n, built on first use in the vector's dtype with the sweep
+    factor 2 / L folded in and cached per (dtype, factor); the x**2 ladder
+    and the oscillator diagonal are typed the same way.  Racing builders
+    make equal tables, and the per-call scratch vectors are allocated inside
+    each apply, so one applier can serve concurrent callers.
     """
 
     def __init__(self, iset: IndexSet):
-        n, N = iset.size, iset.dim
+        N = iset.dim
         self._iset = weakref.ref(iset)
-        self.size, self.dim, self.indices = n, N, iset.indices
-        self._down = []
-        self._up = []
-        self._cdown = []
-        self._cup = []
-        for axis in range(1, N + 1):
-            down, up = iset.neighbor_ordinals(axis)
-            self._down.append(down)
-            self._up.append(up)
-            jl = iset.indices[:, axis - 1].astype(np.float64)
-            self._cdown.append(np.sqrt(jl / 2.0))
-            self._cup.append(np.sqrt((jl + 1.0) / 2.0))
-        self.osc_levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
-        self._square = None
+        self.size, self.dim, self.indices = iset.size, N, iset.indices
+        tables = [iset.neighbor_ordinals(axis) for axis in range(1, N + 1)]
+        self._down = [down for down, _ in tables]
+        self._up = [up for _, up in tables]
+        self._tables = {}
 
     @property
     def iset(self) -> IndexSet | None:
         """The set, held weakly: it keys the applier cache (None once gone)."""
         return self._iset()
+
+    def _table(self, key, build):
+        """The table cached under ``key``, built by ``build()`` on first use."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+        return table
+
+    def _per_axis(self, coupling, dtype):
+        """coupling(k_a) on every axis, as padded ``dtype`` tables."""
+        out = np.zeros((self.dim, self.size + 1), dtype=dtype)
+        for a, row in enumerate(out):
+            row[:-1] = coupling(self.indices[:, a].astype(np.float64))
+        return list(out)
+
+    def _diagonal(self, dtype):
+        """The oscillator diagonal sum_l (j_l + 1/2), in ``dtype``."""
+        return self._table(("diagonal", dtype), lambda: (
+            self.indices + 0.5).sum(axis=1).astype(dtype))
 
     # -- full surrogate ---------------------------------------------------------
 
@@ -104,17 +124,23 @@ class PolynomialApplier:
         bufs, z = work[:4], work[4:]
         u = np.zeros(n + 1, dtype=dtype)
         u[:n] = v
-        scale = 1.0 / approx.halfwidth
+        # every sweep multiplies by 2 scale X; T_1 and the last Clenshaw
+        # step halve once
+        factor = 2.0 / approx.halfwidth
+        coupling = self._table(("x", dtype, factor), lambda: self._per_axis(
+            lambda k: np.sqrt(k / 2.0) * factor, dtype))
         if walked.any():
-            self._walk(order, degs[walked], approx.coeffs[walked], scale, u,
-                       acc, z, bufs)
+            self._walk(order, degs[walked], approx.coeffs[walked], coupling,
+                       u, acc, z, bufs)
         # b_k = c_k + 2 scale X b_{k+1} - b_{k+2} (b_{top+1} = b_{top+2} = 0)
         # in row k % 3; the sum c_0 + scale X b_1 - b_2 lands in row 0
+        a = order[-1] - 1
         for k in range(top, -1, -1):
             b = bufs[k % 3, :n]
             if k < top:
-                self._times_x(order[-1], bufs[(k + 1) % 3], b, bufs[3, :n])
-                b *= 2.0 * scale if k else scale
+                self._times_x(a, coupling[a], bufs[(k + 1) % 3], b, bufs[3])
+                if not k:
+                    b *= 0.5
             else:
                 b[:] = 0.0
             if k < top - 1:
@@ -126,21 +152,25 @@ class PolynomialApplier:
         acc += bufs[0, :n]
         return acc
 
-    def _times_x(self, axis, src, out, tmp) -> None:
-        """out = X_axis src for a padded src; tmp is scratch of length n."""
-        a = axis - 1    # index, since np.take copies read-only tables
-        np.multiply(src[self._up[a]], self._cup[a], out=tmp)
-        np.multiply(src[self._down[a]], self._cdown[a], out=out)
-        out += tmp
+    def _times_x(self, a, c, src, out, tmp) -> None:
+        """out = c * src[down] + (c * src)[up] on axis index ``a``.
 
-    def _walk(self, order, degs, coeffs, scale, u, acc, z, bufs=None) -> None:
+        ``src``, the table ``c`` and the scratch ``tmp`` are padded.
+        """
+        np.multiply(c, src, out=tmp)
+        np.multiply(src[self._down[a]], c[:-1], out=out)
+        out += tmp[self._up[a]]
+
+    def _walk(self, order, degs, coeffs, coupling, u, acc, z,
+              bufs=None) -> None:
         """Add sum_t coeffs[t] * prod_i T_{degs[t, i]}(scale X_{order[i]}) u.
 
         Factors apply in ``order``, whose first axis is this node's.  A node
         off the last axis runs one sweep up to its terms' largest degree,
         adds finished terms to ``acc`` and recurses per degree, so terms
         sharing a prefix share its sweeps; on the last axis it only adds
-        coeffs * u into z[degree].  ``u`` is padded with a zero in slot n;
+        coeffs * u into z[degree].  ``coupling`` holds the tables of
+        2 scale X per axis.  ``u`` is padded with a zero in slot n;
         ``bufs`` holds four padded scratch rows free for this node, or None.
         """
         n = self.size
@@ -159,75 +189,65 @@ class PolynomialApplier:
         kids = set(deg[~leaf].tolist())
         if weights[0] != 0.0:
             acc += weights[0] * u[:n]
+        a = order[0] - 1
         prev, cur = None, u
         for k in range(1, top + 1):
             # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X u) into the
             # scratch row that holds T_{k-3}; slot n stays zero
             nxt = bufs[(k - 1) % 3]
-            self._times_x(order[0], cur, nxt[:n], bufs[3, :n])
-            nxt[:n] *= 2.0 * scale if k > 1 else scale
+            self._times_x(a, coupling[a], cur, nxt[:n], bufs[3])
             if k > 1:
                 nxt[:n] -= prev[:n]
+            else:
+                nxt[:n] *= 0.5
             prev, cur = cur, nxt
             if weights[k] != 0.0:
                 acc += weights[k] * cur[:n]
             if k in kids:
                 group = ~leaf & (deg == k)
-                self._walk(order[1:], degs[group, 1:], coeffs[group], scale,
-                           cur, acc, z)
+                self._walk(order[1:], degs[group, 1:], coeffs[group],
+                           coupling, cur, acc, z)
         # the degree-0 group sees u itself, and this node's scratch is free
         if 0 in kids:
             group = ~leaf & (deg == 0)
-            self._walk(order[1:], degs[group, 1:], coeffs[group], scale, u,
-                       acc, z, bufs)
+            self._walk(order[1:], degs[group, 1:], coeffs[group], coupling,
+                       u, acc, z, bufs)
 
     def apply_hamiltonian(self, approx: ChebApprox, v: np.ndarray) -> np.ndarray:
         out = self.apply_polynomial(approx, v)
-        out += self.osc_levels * v
+        out += self._diagonal(out.dtype) * v
         return out
 
     # -- exact quadratic confinement --------------------------------------------
 
-    def _square_tables(self):
-        """Second-neighbor ordinals and x**2 couplings, built on first use.
-
-        The Galerkin matrix of x_l**2 is banded with closed-form entries
-        (j_l + 1/2 on the diagonal, sqrt(j_l (j_l - 1)) / 2 two below,
-        sqrt((j_l + 1)(j_l + 2)) / 2 two above); restricting it to the set
-        just drops couplings whose partner is missing.  Downward closure
-        guarantees j + 2 e_l in the set implies j + e_l in the set, so the
-        two-step tables compose from the one-step ones.
-        """
-        tables = self._square
-        if tables is None:
-            down2, up2, cdown2, cup2 = [], [], [], []
-            for a in range(self.dim):
-                d1, u1 = self._down[a], self._up[a]
-                down2.append(np.append(d1, -1)[d1])
-                up2.append(np.append(u1, -1)[u1])
-                jl = self.indices[:, a].astype(np.float64)
-                cdown2.append(np.sqrt(jl * (jl - 1.0)) / 2.0)
-                cup2.append(np.sqrt((jl + 1.0) * (jl + 2.0)) / 2.0)
-            tables = (down2, up2, cdown2, cup2)
-            self._square = tables
-        return tables
-
     def apply_square_sum(self, v: np.ndarray) -> np.ndarray:
         """(sum_l x_l**2) v through the exact restricted Galerkin entries.
 
+        The Galerkin matrix of x_l**2 is banded with closed-form entries:
+        j_l + 1/2 on the diagonal and d_l = sqrt(j_l (j_l - 1)) / 2 two
+        below, so the entry two above is d_l read at the partner, as for X.
         This is the restriction of the exact matrix, not the square of the
         restricted ladder: the diagonal keeps its full value j_l + 1/2 even
         where first neighbors are pruned away, so quadratic confinement
         shifts carry no reduction error at all.
         """
         n = self.size
-        down2, up2, cdown2, cup2 = self._square_tables()
-        pad = np.zeros(n + 1, dtype=np.result_type(v.dtype, np.float64))
+        dtype = np.result_type(v.dtype, np.float64)
+        # downward closure puts j + e_l in the set whenever j + 2 e_l is,
+        # so the two-step tables compose from the one-step ones
+        down2, up2 = self._table("x**2 ordinals", lambda: (
+            [np.append(d, -1)[d] for d in self._down],
+            [np.append(u, -1)[u] for u in self._up]))
+        d2 = self._table(("x**2", dtype), lambda: self._per_axis(
+            lambda k: np.sqrt(k * (k - 1.0)) / 2.0, dtype))
+        pad = np.zeros(n + 1, dtype=dtype)
         pad[:n] = v
-        out = self.osc_levels * v    # sum_l (j_l + 1/2) is the full diagonal
+        tmp = np.empty(n + 1, dtype=dtype)
+        out = self._diagonal(dtype) * v    # sum_l (j_l + 1/2): the diagonal
         for a in range(self.dim):
-            out += cdown2[a] * pad[down2[a]]
-            out += cup2[a] * pad[up2[a]]
+            out += d2[a][:-1] * pad[down2[a]]
+            np.multiply(d2[a], pad, out=tmp)
+            out += tmp[up2[a]]
         return out
 
 

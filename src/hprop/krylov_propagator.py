@@ -33,7 +33,8 @@ _BREAKDOWN_TOL = 1e-14
 class LanczosFactorization:
     """Result of a Lanczos run: basis, recurrence coefficients, diagnostics.
 
-    ``basis`` has shape (n, m_eff); ``alpha`` the m_eff diagonal entries,
+    ``basis`` has shape (n, m_eff), a transposed view of the Krylov vectors
+    stored as contiguous rows; ``alpha`` the m_eff diagonal entries,
     ``beta`` the m_eff - 1 couplings.  ``breakdown_at`` is the step index
     where an invariant subspace was hit, or None.  ``hermiticity_defect``
     records max_k |Im <v_k, A v_k>|; it is reported, never enforced, because
@@ -71,10 +72,10 @@ def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
         raise ValueError("starting vector must be nonzero")
     dtype = np.result_type(v0.dtype, np.complex128)
     n = v0.shape[0]
-    basis = np.empty((n, steps), dtype=dtype)
+    rows = np.empty((steps, n), dtype=dtype)    # v_k = rows[k], contiguous
     alpha = np.empty(steps, dtype=np.float64)
     beta = np.empty(max(steps - 1, 0), dtype=np.float64)
-    basis[:, 0] = v0 / nrm
+    rows[0] = v0 / nrm
     prev = np.zeros(n, dtype=dtype)
     bprev = 0.0
     defect = 0.0
@@ -82,7 +83,7 @@ def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
     breakdown_at = None
     m_eff = steps
     for k in range(steps):
-        vk = basis[:, k]
+        vk = rows[k]
         w = np.asarray(matvec(vk), dtype=dtype)
         ak = vk.conj() @ w
         defect = max(defect, abs(float(ak.imag)))
@@ -92,18 +93,18 @@ def lanczos(matvec: MatVec, v0: np.ndarray, steps: int, *,
             break
         w = w - alpha[k] * vk - bprev * prev
         if reorthogonalize:
-            w = w - basis[:, :k + 1] @ (basis[:, :k + 1].conj().T @ w)
+            w = w - rows[:k + 1].T @ (rows[:k + 1].conj() @ w)
         bk = float(np.linalg.norm(w))
         if bk <= _BREAKDOWN_TOL * anorm:
             breakdown_at = k + 1
             m_eff = k + 1
             break
         beta[k] = bk
-        basis[:, k + 1] = w / bk
+        rows[k + 1] = w / bk
         prev = vk
         bprev = bk
     return LanczosFactorization(
-        basis=basis[:, :m_eff],
+        basis=rows[:m_eff].T,
         alpha=alpha[:m_eff].copy(),
         beta=beta[:max(m_eff - 1, 0)].copy(),
         breakdown_at=breakdown_at,

@@ -13,6 +13,7 @@ from hprop import (
     ChebApprox,
     CoeffVector,
     IndexSet,
+    PolynomialApplier,
     apply_hamiltonian,
     assemble_coordinate,
     assemble_quad_galerkin,
@@ -275,6 +276,37 @@ def test_axis_order_must_be_a_permutation(rng):
         fast_algorithm(iset, approx, v, axis_order=(1, 1))
 
 
+def test_complex_apply_is_the_real_applies_of_its_parts(rng):
+    # complex vectors sweep with complex tables and real ones with float64
+    # tables; each complex product has a zero imaginary factor, so the two
+    # kernels agree exactly
+    iset = build_hyperbolic(3, 24)
+    approx = interpolate(gaussian_well_spec(3), 8, time=0.7)
+    appl = get_applier(iset)
+    re, im = rng.standard_normal((2, iset.size))
+    for apply in (lambda v: appl.apply_polynomial(approx, v),
+                  lambda v: appl.apply_hamiltonian(approx, v),
+                  appl.apply_square_sum):
+        got = apply(re + 1j * im)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.real, apply(re))
+        assert np.array_equal(got.imag, apply(im))
+
+
+def test_coupling_tables_are_cached_per_halfwidth(rng):
+    # 2 / L is folded into the cached tables, so an applier that serves
+    # two halfwidths must hold a table for each
+    iset = build_hyperbolic(3, 24)
+    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
+    appl = PolynomialApplier(iset)
+    for halfwidth in (16.0, 10.0, 16.0):
+        spec = custom_potential(gaussian_well, 3, halfwidth)
+        approx = interpolate(spec, 8, time=0.7)
+        got = appl.apply_polynomial(approx, v)
+        want = PolynomialApplier(iset).apply_polynomial(approx, v)
+        assert np.array_equal(got, want)
+
+
 def test_apply_hamiltonian_adds_oscillator_diagonal(rng):
     iset = build_hyperbolic(2, 10)
     approx = interpolate(torsional(2), 4)
@@ -339,20 +371,29 @@ def test_applier_gathers_through_the_sets_own_neighbor_tables():
                               iset.locate(iset.indices + step) < 0)
 
 
-def test_applier_keeps_one_copy_of_the_neighbor_tables():
-    # 2N intp tables, 2N coupling arrays and osc_levels, n entries each; the
-    # slack, less than one more such array, covers the Python objects only
+def test_applier_keeps_one_copy_of_the_neighbor_tables(rng):
+    # construction keeps the 2N intp tables of n entries; a real and then a
+    # complex apply each add one padded coupling table per axis, in the
+    # vector's dtype.  The slack, less than one more array of n float64s,
+    # covers the Python objects only
     iset = build_full(3, 12)
     n, N = iset.size, iset.dim
+    approx = interpolate(torsional(3), 4)
+    v = rng.standard_normal(n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        get_applier(iset)                   # kept alive by the cache
+        appl = get_applier(iset)            # kept alive by the cache
+        built = tracemalloc.get_traced_memory()[0] - before
+        appl.apply_polynomial(approx, v)
+        appl.apply_polynomial(approx, v + 0j)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    arrays = 2 * N * n * np.dtype(np.intp).itemsize + (2 * N + 1) * n * 8
-    assert arrays <= kept < arrays + n * 8
+    tables = 2 * N * n * np.dtype(np.intp).itemsize
+    assert tables <= built < tables + n * 8
+    tables += N * (n + 1) * (8 + 16)
+    assert tables <= kept < tables + n * 8
 
 
 def test_applier_is_freed_with_its_set_by_refcount():
