@@ -2,8 +2,8 @@
 
 Extends the default bench grid up to K=160 so the log-log cost slope is
 visible; the dense side is skipped automatically wherever the set size
-exceeds HPROP_DENSE_CAP.  Extra command line arguments are passed through
-and may override any default, e.g. ``--dims 3 --kmax 10,20``.
+exceeds galerkin_oracle.DENSE_CAP.  Extra command line arguments are passed
+through and may override any default, e.g. ``--dims 3 --kmax 10,20``.
 """
 
 import sys

@@ -57,7 +57,6 @@ from .galerkin_oracle import (
     assemble_quad_galerkin,
     assemble_square_sum,
     assemble_with_rule,
-    dense_cap,
     verify_diagonalization,
 )
 from .krylov_propagator import (

@@ -30,12 +30,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import galerkin_oracle
 from .error_lab import REFERENCE_TOL, lanczos_perturbation_error, \
     make_decay_vector, propagate_and_compare, quadrature_error, \
     reduction_error, reduction_local_mask
 from .fast_apply import get_applier
-from .galerkin_oracle import assemble_with_rule, dense_cap, \
-    verify_diagonalization
+from .galerkin_oracle import assemble_with_rule, verify_diagonalization
 from .hermite_basis import check_support_condition, gauss_hermite_rule
 from .index_set import build_full, build_hyperbolic
 from .krylov_propagator import MagnusScheme
@@ -200,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run numerical self-checks")
     common(p, seed=True, scale=True, kmax="10")
-    p.add_argument("--rule-offset", type=int, default=0,
-                   help="offset added to the quadrature order in the "
-                        "equivalence check (nonzero breaks it; default 0)")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -290,7 +287,7 @@ def _effective_approx(args, time_value: float = 0.0):
 def cmd_bench(args) -> int:
     _warn_support(args)
     approx = _effective_approx(args)
-    cap = dense_cap()
+    cap = galerkin_oracle.DENSE_CAP
 
     def work(k: int):
         iset = build_hyperbolic(args.dims, k)
@@ -434,13 +431,12 @@ def cmd_verify(args) -> int:
         approx = _effective_approx(args)
         rng = np.random.default_rng([args.seed, args.dims, k])
         v = rng.standard_normal(full.size)
-        rule = gauss_hermite_rule(max(k + args.rule_offset, 0))
-        dense = assemble_with_rule(full, approx, rule).matrix
+        dense = assemble_with_rule(full, approx,
+                                   gauss_hermite_rule(k)).matrix
         fast = get_applier(full).apply_polynomial(approx, v, None)
         rel = float(np.max(np.abs(fast - dense @ v)))
         rel /= max(float(np.max(np.abs(v))), 1e-300)
-        record(f"full-set equivalence K={k} (rule order "
-               f"{max(k + args.rule_offset, 0)})", rel <= 1e-10,
+        record(f"full-set equivalence K={k} (rule order {k})", rel <= 1e-10,
                f"relative={rel:.3e}")
 
         mres = _moment_residual(min(k, 40))

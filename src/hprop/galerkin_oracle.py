@@ -17,14 +17,12 @@ The coordinate and x**2 matrices write their closed-form entries at the
 partners ``IndexSet.locate`` finds, never through the fast applier's neighbor
 tables, and so check them; on any set of rows they restrict exactly.
 
-Assembly cost is O(size**2 * nterms * M * dim) and is guarded by a size cap,
-20000 rows by default, set only through the ``HPROP_DENSE_CAP`` environment
-variable.  The cap is checked before any matrix or rule is built.
+Assembly cost is O(size**2 * nterms * M * dim) and is guarded by the row cap
+``DENSE_CAP``, checked before any matrix or rule is built.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,28 +33,15 @@ from .hermite_basis import eval_hermite_functions, gauss_hermite_rule, \
 from .index_set import IndexSet, build_full
 from .potential_approx import ChebApprox
 
-DEFAULT_DENSE_CAP = 20_000
-ENV_DENSE_CAP = "HPROP_DENSE_CAP"
-
-
-def dense_cap() -> int:
-    """Current dense-assembly row cap (env override wins)."""
-    raw = os.environ.get(ENV_DENSE_CAP)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_DENSE_CAP} must be an integer, got {raw!r}") \
-            from None
+# Largest set the dense oracle assembles on; read at call time.
+DENSE_CAP = 20_000
 
 
 def _check_cap(size: int) -> None:
-    cap = dense_cap()
-    if size > cap:
+    if size > DENSE_CAP:
         raise ValueError(
             f"dense assembly of a {size} x {size} matrix exceeds the cap of "
-            f"{cap} rows; raise {ENV_DENSE_CAP}")
+            f"{DENSE_CAP} rows")
 
 
 @dataclass(frozen=True)
@@ -208,15 +193,12 @@ def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:
     for _ in range(dim - 1):
         u = np.kron(u, u1)
     orth = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+    # the rows of U run over the node grid in the cube's order, so the
+    # diagonal Xi_l scales row m by the node coordinate of its l-th digit
     diag_res = 0.0
-    eye = np.eye(max_order + 1)
     for axis in range(1, dim + 1):
-        xi = np.diag(rule.nodes)
-        blocks = [eye] * dim
-        blocks[axis - 1] = xi
-        big = blocks[0]
-        for b in blocks[1:]:
-            big = np.kron(big, b)
+        xi = rule.nodes[full.indices[:, axis - 1]]
         x_dense = assemble_coordinate(full, axis).matrix
-        diag_res = max(diag_res, float(np.max(np.abs(u.T @ big @ u - x_dense))))
+        diag_res = max(diag_res,
+                       float(np.max(np.abs((u.T * xi) @ u - x_dense))))
     return diag_res, orth

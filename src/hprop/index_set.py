@@ -161,11 +161,8 @@ class IndexSet:
 def _run_keys(prefix_rank, rows: np.ndarray, lo: int, hi: int,
               base: int) -> np.ndarray:
     """prefix_rank * base**(hi - lo) plus rows[:, lo:hi] read in ``base``."""
-    key = prefix_rank * base + rows[:, lo]
-    for a in range(lo + 1, hi):
-        key *= base
-        key += rows[:, a]
-    return key
+    weights = base ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+    return prefix_rank * base ** (hi - lo) + rows[:, lo:hi] @ weights
 
 
 def _check_dim_bound(dim: int, bound: int) -> None:

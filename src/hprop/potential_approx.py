@@ -173,10 +173,8 @@ def henon_heiles_perturbed(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
 
 
 def custom_potential(evaluator, dim: int, halfwidth: float,
-                     kind: str = "custom",
-                     harmonic_part: float = 0.0) -> PotentialSpec:
-    return PotentialSpec(kind, dim, float(halfwidth), evaluator,
-                         harmonic_part)
+                     kind: str = "custom") -> PotentialSpec:
+    return PotentialSpec(kind, dim, float(halfwidth), evaluator)
 
 
 _FACTORIES = {

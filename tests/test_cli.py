@@ -2,6 +2,7 @@
 
 import pytest
 
+from hprop import assemble_with_rule, gauss_hermite_rule
 from hprop.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -225,11 +226,16 @@ def test_propagate_refuses_a_reference_that_does_not_converge(capsys,
     assert errors[0].startswith("error: reference did not converge")
 
 
-def test_verify_detects_wrong_quadrature_order(capsys):
-    code, out, _ = run(["verify", "--kmax", "8", "--degree", "4",
-                        "--rule-offset", "-1"], capsys)
+def test_verify_detects_wrong_quadrature_order(capsys, monkeypatch):
+    # the dense side assembled one order low, as a broken oracle would be
+    def one_order_low(iset, approx, rule):
+        return assemble_with_rule(iset, approx,
+                                  gauss_hermite_rule(rule.order - 1))
+
+    monkeypatch.setattr("hprop.cli.assemble_with_rule", one_order_low)
+    code, out, _ = run(["verify", "--kmax", "8", "--degree", "4"], capsys)
     assert code == EXIT_VERIFY
-    assert "full-set equivalence K=8 (rule order 7): FAIL" in out
+    assert "full-set equivalence K=8 (rule order 8): FAIL" in out
     assert "quadrature moments M=8: PASS" in out
 
 
@@ -262,7 +268,7 @@ def test_failed_write_of_out_is_an_error_line(tmp_path, capsys, monkeypatch):
 
 
 def test_dense_cap_failure_exits_numerical(capsys, monkeypatch):
-    monkeypatch.setenv("HPROP_DENSE_CAP", "10")
+    monkeypatch.setattr("hprop.galerkin_oracle.DENSE_CAP", 10)
     code, _, err = run(["quaderr", "--kmax", "10", "--degree", "4",
                         "--beta", "3"], capsys)
     assert code == EXIT_NUMERICAL
@@ -292,7 +298,7 @@ def test_oversized_full_cube_exits_numerical_at_once(capsys):
 
 
 def test_bench_skips_dense_side_beyond_cap(capsys, monkeypatch):
-    monkeypatch.setenv("HPROP_DENSE_CAP", "10")
+    monkeypatch.setattr("hprop.galerkin_oracle.DENSE_CAP", 10)
     code, out, _ = run(["bench", "--kmax", "10", "--degree", "3"], capsys)
     assert code == EXIT_OK
     header, columns, rows = parse_csv(out)

@@ -64,7 +64,7 @@ def test_dense_cap_refuses_before_any_matrix_or_rule(monkeypatch):
         built.append(order)
         raise AssertionError("no rule may be built past the cap")
 
-    monkeypatch.setenv("HPROP_DENSE_CAP", "50")
+    monkeypatch.setattr(galerkin_oracle, "DENSE_CAP", 50)
     monkeypatch.setattr(error_lab, "gauss_hermite_rule", spy)
     monkeypatch.setattr(galerkin_oracle, "gauss_hermite_rule", spy)
     iset = build_hyperbolic(2, 20)          # 70 rows > 50

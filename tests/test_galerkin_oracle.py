@@ -14,14 +14,13 @@ from hprop import (
     build_full,
     build_hyperbolic,
     custom_potential,
-    dense_cap,
     fast_algorithm,
     gauss_hermite_rule,
     interpolate,
     torsional,
     verify_diagonalization,
 )
-from hprop.galerkin_oracle import ENV_DENSE_CAP
+from hprop import galerkin_oracle
 
 
 def test_coordinate_matrix_1d_closed_form():
@@ -96,16 +95,12 @@ def test_dimension_mismatch_rejected():
 
 
 def test_dense_cap_env_and_force(monkeypatch):
-    assert dense_cap() == 20_000
-    monkeypatch.setenv(ENV_DENSE_CAP, "50")
-    assert dense_cap() == 50
+    assert galerkin_oracle.DENSE_CAP == 20_000
+    monkeypatch.setattr(galerkin_oracle, "DENSE_CAP", 50)
     iset = build_hyperbolic(2, 20)          # 70 rows > 50
     approx = interpolate(torsional(2), 4)
     with pytest.raises(ValueError, match="exceeds the cap"):
         assemble_exact_galerkin(iset, approx)
-    monkeypatch.setenv(ENV_DENSE_CAP, "not-a-number")
-    with pytest.raises(ValueError, match="must be an integer"):
-        dense_cap()
 
 
 def test_square_sum_assembly_matches_quadrature_of_x_squared():
@@ -124,6 +119,25 @@ def test_full_cube_quad_assembly_matches_fast_application(rng):
     v = CoeffVector(full, rng.standard_normal(full.size))
     fast = fast_algorithm(full, approx, v)
     assert np.max(np.abs(dense @ v.data - fast.data)) < 1e-12
+
+
+def test_fast_application_matches_only_the_order_k_rule(rng):
+    # the full-cube identity holds at the matched order alone: one node
+    # fewer or more and the quadrature sums part from the recurrence
+    full = build_full(2, 8)
+    approx = interpolate(torsional(2), 4)
+    v = CoeffVector(full, rng.standard_normal(full.size))
+    fast = fast_algorithm(full, approx, v).data
+    scale = np.max(np.abs(v.data))
+
+    def miss(order):
+        dense = assemble_with_rule(full, approx,
+                                   gauss_hermite_rule(order)).matrix
+        return np.max(np.abs(dense @ v.data - fast)) / scale
+
+    assert miss(8) < 1e-10
+    assert miss(7) > 1e-3
+    assert miss(9) > 1e-3
 
 
 def test_diagonalization_residuals_small():

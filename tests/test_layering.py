@@ -1,6 +1,7 @@
 """Modules of the package use each other only through public names, only
 the CLI writes files, only the index set and the fast applier read neighbor
-tables, and every public name has a caller besides the tests.
+tables, nothing reads the environment, and every public name has a caller
+besides the tests.
 
 A ``_``-prefixed name is private to the module or object that defines it:
 no module imports one from another hprop module, and no code reads one off
@@ -8,7 +9,8 @@ anything but ``self`` or ``cls``.  Dunder names are protocol, not private.
 The program's one output format is the CLI's CSV, so no other module opens
 or writes a file.  A name in ``hprop.__all__`` must be read somewhere in
 the package (outside its own definition and ``__init__``), in ``scripts/``
-or in ``perfbench/``, whose hook table names functions as strings.
+or in ``perfbench/``, whose hook table names functions as strings.  No
+module reads the environment: every setting is an argument or a constant.
 """
 
 import ast
@@ -127,6 +129,38 @@ def test_checker_flags_file_opens_and_writes(tmp_path):
     assert file_writes(probe) == [
         (2, "open"), (4, "path.write_bytes"), (4, "path.write_text"),
         (5, "path.open")]
+
+
+def environment_reads(path):
+    """(line, text) of every ``os.environ`` or ``os.getenv`` use, and of
+    every import of either name, in one file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names
+                      if alias.name in ("environ", "getenv")]
+    return sorted(found)
+
+
+def test_no_module_reads_the_environment():
+    offences = [f"{path.name}:{line}: {text}" for path in SOURCES
+                for line, text in environment_reads(path)]
+    assert offences == []
+
+
+def test_checker_flags_environment_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "from os import getenv, path\n"
+        "cap = os.environ.get('CAP'), os.getenv('CAP')\n"
+        "home = os.path.expanduser('~')\n")
+    assert environment_reads(probe) == [
+        (2, "import getenv"), (3, "os.environ"), (3, "os.getenv")]
 
 
 def used_names(source):
