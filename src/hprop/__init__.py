@@ -69,7 +69,6 @@ from .krylov_propagator import (
     propagate_magnus,
 )
 from .error_lab import (
-    ErrorReport,
     FastHamiltonian,
     OracleHamiltonian,
     PerturbationResult,

@@ -39,8 +39,7 @@ from .galerkin_oracle import assemble_with_rule, verify_diagonalization
 from .hermite_basis import check_support_condition, gauss_hermite_rule
 from .index_set import build_full, build_hyperbolic
 from .krylov_propagator import MagnusScheme
-from .potential_approx import interpolate, potential_by_name, \
-    smooth_remainder
+from .potential_approx import interpolate, potential_by_name
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -264,17 +263,13 @@ def _warn_support(args) -> None:
             print(violation, file=sys.stderr)
 
 
-def _effective_approx(args, time_value: float = 0.0):
-    """Surrogate of the smooth remainder, dilation folded into the half width.
-
-    Only the part left after the declared harmonic confinement is
-    interpolated, as in FastHamiltonian.  With basis functions dilated by S
-    the coordinate recurrence works in node coordinates u = S x, so
-    T_r(x / L) becomes T_r(u / (S L)); the interpolation coefficients
-    themselves do not change.
+def _effective_approx(args):
+    """Surrogate of the potential's smooth part, dilation folded into the
+    half width: with basis functions dilated by S, T_r(x / L) becomes
+    T_r(u / (S L)) in node coordinates u = S x.
     """
     spec = potential_by_name(args.potential, args.dims, args.halfwidth)
-    approx = interpolate(smooth_remainder(spec), args.degree, time=time_value)
+    approx = interpolate(spec, args.degree)
     if args.scale != 1.0:
         approx = dataclasses.replace(
             approx, halfwidth=args.scale * args.halfwidth)
@@ -294,7 +289,7 @@ def cmd_bench(args) -> int:
         rng = np.random.default_rng([args.seed, args.dims, k])
         v = rng.standard_normal(iset.size)
         appl = get_applier(iset)
-        t_fast = _median_time(lambda: appl.apply_polynomial(approx, v, None))
+        t_fast = _median_time(lambda: appl.apply_polynomial(approx, v))
         if iset.size > cap:
             return [args.dims, k, iset.size, approx.nterms, t_fast,
                     None, None, "skipped_cap"]
@@ -322,8 +317,8 @@ def cmd_quaderr(args) -> int:
         iset = build_hyperbolic(args.dims, k)
         approx = _effective_approx(args)
         v = make_decay_vector(iset, args.beta)
-        report = quadrature_error(iset, approx, v)
-        return [args.dims, k, iset.size, report.max_norm]
+        errors = quadrature_error(iset, approx, v)
+        return [args.dims, k, iset.size, float(np.max(errors))]
 
     rows = [work(k) for k in args.kmax]
     _emit(args, _meta(args), ["dim", "bound", "set_size", "max_norm"], rows)
@@ -337,11 +332,10 @@ def cmd_rederr(args) -> int:
         iset = build_hyperbolic(args.dims, k)
         approx = _effective_approx(args)
         v = make_decay_vector(iset, args.beta)
-        report = reduction_error(iset, approx, v)
+        errors = reduction_error(iset, approx, v)
         mask = reduction_local_mask(iset, approx)
-        local_max = float(np.max(report.components[mask])) if mask.any() \
-            else 0.0
-        return [args.dims, k, iset.size, report.max_norm, local_max]
+        local_max = float(np.max(errors[mask])) if mask.any() else 0.0
+        return [args.dims, k, iset.size, float(np.max(errors)), local_max]
 
     rows = [work(k) for k in args.kmax]
     _emit(args, _meta(args),
@@ -433,7 +427,7 @@ def cmd_verify(args) -> int:
         v = rng.standard_normal(full.size)
         dense = assemble_with_rule(full, approx,
                                    gauss_hermite_rule(k)).matrix
-        fast = get_applier(full).apply_polynomial(approx, v, None)
+        fast = get_applier(full).apply_polynomial(approx, v)
         rel = float(np.max(np.abs(fast - dense @ v)))
         rel /= max(float(np.max(np.abs(v))), 1e-300)
         record(f"full-set equivalence K={k} (rule order {k})", rel <= 1e-10,

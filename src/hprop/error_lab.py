@@ -34,8 +34,7 @@ from .hermite_basis import gauss_hermite_rule
 from .index_set import CoeffVector, IndexSet, build_full, extend, restrict
 from .krylov_propagator import MagnusScheme, MatVec, lanczos_exp_apply, \
     propagate_magnus
-from .potential_approx import ChebApprox, PotentialSpec, interpolate, \
-    smooth_remainder
+from .potential_approx import ChebApprox, PotentialSpec, interpolate
 
 
 def make_decay_vector(iset: IndexSet, beta: int) -> CoeffVector:
@@ -50,22 +49,10 @@ def make_decay_vector(iset: IndexSet, beta: int) -> CoeffVector:
     return CoeffVector(iset, data)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Componentwise error magnitudes over an index set, in its canonical
-    ordering."""
-
-    iset: IndexSet
-    components: np.ndarray
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(self.components)) if self.components.size else 0.0
-
-
 def quadrature_error(iset: IndexSet, approx: ChebApprox,
-                     v: CoeffVector) -> ErrorReport:
-    """Components of (W_exact - W_quadrature) v on the given set.
+                     v: CoeffVector) -> np.ndarray:
+    """Magnitudes of the components of (W_exact - W_quadrature) v on the
+    given set, in its canonical ordering.
 
     Both matrices come from the dense oracle; the quadrature one uses the
     rule of order K that the insertion algorithm implicitly realizes, the
@@ -75,12 +62,13 @@ def quadrature_error(iset: IndexSet, approx: ChebApprox,
     wx = assemble_exact_galerkin(iset, approx).matrix
     wx -= assemble_quad_galerkin(iset, approx,
                                  gauss_hermite_rule(iset.bound)).matrix
-    return ErrorReport(iset, np.abs(wx @ v.data))
+    return np.abs(wx @ v.data)
 
 
 def reduction_error(iset: IndexSet, approx: ChebApprox,
-                    v: CoeffVector) -> ErrorReport:
-    """Components of fast(set) v minus the restricted full-cube application.
+                    v: CoeffVector) -> np.ndarray:
+    """Magnitudes of the components of fast(set) v minus the restricted
+    full-cube application, in the set's canonical ordering.
 
     No dense matrices are involved: on the full cube the insertion algorithm
     is exact for the surrogate under order-K quadrature, so extending v by
@@ -90,8 +78,7 @@ def reduction_error(iset: IndexSet, approx: ChebApprox,
     full = build_full(iset.dim, iset.bound)
     on_set = fast_algorithm(iset, approx, v)
     on_full = fast_algorithm(full, approx, extend(v, full))
-    comp = np.abs(on_set.data - restrict(on_full, iset).data)
-    return ErrorReport(iset, comp)
+    return np.abs(on_set.data - restrict(on_full, iset).data)
 
 
 def reduction_local_mask(iset: IndexSet, approx: ChebApprox) -> np.ndarray:
@@ -121,7 +108,7 @@ class FastHamiltonian:
     """Matrix-free A(t) = D + W_pol(t) through the insertion algorithm.
 
     The potential's declared quadratic confinement goes through the exact
-    banded ladder entries; only the smooth remainder is interpolated and
+    banded ladder entries; only the smooth part is interpolated and
     applied as a Chebyshev surrogate.  Pushing q x**2 through the surrogate
     instead would attach its order-(q L**2 / 2) coefficients to every pruned
     recurrence path and swamp the reduction error of the interesting part.
@@ -135,8 +122,7 @@ class FastHamiltonian:
         _check_dims(self.iset, self.potential)
 
     def approx_at(self, t: float) -> ChebApprox:
-        return interpolate(smooth_remainder(self.potential), self.degree,
-                           time=t)
+        return interpolate(self.potential, self.degree, time=t)
 
     def matvec_at(self, t: float) -> MatVec:
         appl = get_applier(self.iset)
@@ -158,7 +144,7 @@ class OracleHamiltonian:
     """Assembled A(t) = D + W_pol(t) built from dense quadrature matrices.
 
     Mirrors FastHamiltonian exactly: quadratic confinement through the exact
-    banded matrix, smooth remainder through order-K quadrature assembly.
+    banded matrix, smooth part through order-K quadrature assembly.
     Matrices for each Chebyshev degree tuple are assembled once and cached;
     at a given time the surrogate coefficients recombine them, so repeated
     calls cost one small dense update plus matvecs.
@@ -187,8 +173,7 @@ class OracleHamiltonian:
         return mat
 
     def matrix_at(self, t: float) -> np.ndarray:
-        approx = interpolate(smooth_remainder(self.potential), self.degree,
-                             time=t)
+        approx = interpolate(self.potential, self.degree, time=t)
         if self._static is None:
             base = assemble_oscillator_diagonal(self.iset).matrix
             q = self.potential.harmonic_part

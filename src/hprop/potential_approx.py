@@ -19,14 +19,15 @@ input row.  The tensor route calls one several times per instant, on
 consecutive blocks of the (R+1)**dim grid of at most ``GRID_BLOCK`` points,
 and the points may arrive in any memory layout.
 
-The bundled potentials all subtract the harmonic confinement that the
-oscillator part of the Hamiltonian already carries, i.e. they are the W in
-H = D + W with D the oscillator diagonal:
+A spec holds the smooth part W that its surrogate interpolates and declares
+the quadratic confinement q * sum_l x_l**2 apart from it, since operator
+code applies x**2 exactly through ladder products.  The complete potential
+V = W + q * sum_l x_l**2 enters H = D + V with D the oscillator diagonal:
 
-* ``torsional``      sum_l (1 - cos(x_l / L))            (no subtraction)
-* ``torsional-ho``   the same minus (1/2) sum_l x_l**2
+* ``torsional``      W = sum_l (1 - cos(x_l / L)),  q = 0
+* ``torsional-ho``   the same W,                    q = -1/2
 * ``henon-heiles``   chained cubic couplings with a sin(t)**2 drive on x_1,
-                     minus the harmonic term
+                     q = 0
 
 The first two are declared separable; Henon-Heiles is not.
 """
@@ -34,7 +35,7 @@ The first two are declared separable; Henon-Heiles is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,26 +68,26 @@ def chebyshev_values(y, max_degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """A smooth potential W(x, t) on the box [-L, L]**dim.
+    """A potential V(x, t) = W(x, t) + q * sum_l x_l**2 on [-L, L]**dim.
 
-    ``evaluator`` maps (points, t) -> values, with points of shape
-    (npts, dim) and scalar t, and gives the complete potential.  It must be
-    pointwise, since interpolation may call it on several blocks of grid
-    points per instant, and must accept points in any memory layout.
+    ``evaluator`` maps (points, t) -> values of the smooth part W, with
+    points of shape (npts, dim) and scalar t.  It must be pointwise, since
+    interpolation may call it on several blocks of grid points per instant,
+    and must accept points in any memory layout.
 
-    ``harmonic_part`` declares that the potential contains the quadratic
-    confinement shift q * sum_l x_l**2 with q = harmonic_part, so that
-    evaluator - q * sum x**2 is the genuinely non-quadratic remainder.
-    Galerkin entries of x**2 are closed-form ladder products, so operator
-    code can apply that piece exactly and feed only the remainder to the
-    polynomial surrogate; the huge Chebyshev coefficients of q x**2 (order
-    q L**2 / 2) would otherwise dominate every reduction-error budget.
+    ``harmonic_part`` is the declared q.  Galerkin entries of x**2 are
+    closed-form ladder products, so operator code applies q * sum x**2
+    exactly and interpolates W alone; the huge Chebyshev coefficients of
+    q x**2 (order q L**2 / 2) would otherwise dominate every
+    reduction-error budget.
 
-    ``axis_term``, when set, declares the potential additively separable:
+    ``axis_term``, when set, declares W additively separable:
     W(x, t) = sum_l w(x_l, t) with the same univariate w on every axis.  It
     maps (coordinates, t) -> values elementwise, for coordinate arrays of
     any shape, and ``interpolate`` then works from w alone.  Build such
     specs with ``separable_potential``, which derives ``evaluator`` from w.
+
+    Calling the spec gives the complete potential V.
     """
 
     kind: str
@@ -102,37 +103,23 @@ class PotentialSpec:
             raise ValueError(f"points have dimension {pts.shape[1]}, "
                              f"potential has {self.dim}")
         vals = np.asarray(self.evaluator(pts, float(t)), dtype=np.float64)
+        vals = vals + self.harmonic_part * (pts * pts).sum(axis=1)
         return vals[0] if np.asarray(x).ndim == 1 else vals
 
 
 def separable_potential(axis_term, dim: int, halfwidth: float,
-                        kind: str = "separable",
-                        harmonic_part: float = 0.0) -> PotentialSpec:
+                        kind: str = "separable") -> PotentialSpec:
     """W(x, t) = sum_l w(x_l, t) for the elementwise univariate w = axis_term."""
 
     def ev(pts, t):
         return axis_term(pts, t).sum(axis=-1)
 
-    return PotentialSpec(kind, dim, float(halfwidth), ev, harmonic_part,
-                         axis_term)
+    return PotentialSpec(kind, dim, float(halfwidth), ev, axis_term=axis_term)
 
 
 def smooth_remainder(spec: PotentialSpec) -> PotentialSpec:
-    """The potential with its declared quadratic confinement removed."""
-    if spec.harmonic_part == 0.0:
-        return spec
-    q = spec.harmonic_part
-    kind = spec.kind + "-remainder"
-    w = spec.axis_term
-    if w is not None:
-        return separable_potential(lambda x, t: w(x, t) - q * (x * x),
-                                   spec.dim, spec.halfwidth, kind)
-    inner = spec.evaluator
-
-    def ev(pts, t):
-        return inner(pts, t) - q * (pts * pts).sum(axis=-1)
-
-    return PotentialSpec(kind, spec.dim, spec.halfwidth, ev, 0.0)
+    """The smooth part of ``spec`` alone, with no declared confinement."""
+    return replace(spec, harmonic_part=0.0)
 
 
 def torsional(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
@@ -145,12 +132,9 @@ def torsional(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
 
 
 def torsional_minus_harmonic(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
-    L = float(halfwidth)
-
-    def w(x, t):
-        return 1.0 - np.cos(x / L) - 0.5 * (x * x)
-
-    return separable_potential(w, dim, L, TORSIONAL_HO, harmonic_part=-0.5)
+    """The torsional smooth part with the confinement -(1/2) sum_l x_l**2."""
+    return replace(torsional(dim, halfwidth), kind=TORSIONAL_HO,
+                   harmonic_part=-0.5)
 
 
 def henon_heiles_perturbed(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
@@ -319,8 +303,9 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
 
 
 def fit_error(spec: PotentialSpec, approx: ChebApprox) -> float:
-    """Max-norm error of ``approx`` against ``spec`` at the surrogate's
-    time, on a fixed sample of the box (33 points in 1-D, 1089 otherwise)."""
+    """Max-norm error of ``approx`` against the smooth part of ``spec`` at
+    the surrogate's time, on a fixed sample of the box (33 points in 1-D,
+    1089 otherwise)."""
     vpts = _validation_points(approx.dim, approx.halfwidth)
     resid = eval_interpolant(approx, vpts) - spec.evaluator(vpts, approx.time)
     return float(np.max(np.abs(resid))) if resid.size else 0.0

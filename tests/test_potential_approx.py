@@ -171,16 +171,35 @@ def test_chained_cubic_coupling_coefficients():
 
 
 def test_smooth_remainder_subtracts_declared_confinement(rng):
+    # the spec already holds the smooth part; only the declaration goes
     spec = torsional_minus_harmonic(2)
     assert spec.harmonic_part == -0.5
     rem = smooth_remainder(spec)
     assert rem.harmonic_part == 0.0
+    assert rem.evaluator is spec.evaluator
+    assert rem.axis_term is spec.axis_term
     pts = rng.uniform(-16, 16, size=(30, 2))
+    assert np.array_equal(rem(pts), spec.evaluator(pts, 0.0))
     want = spec(pts) + 0.5 * (pts ** 2).sum(axis=1)
     assert np.max(np.abs(rem(pts) - want)) < 1e-12
-    # remainder of the plain potential is the potential itself
-    assert smooth_remainder(torsional(2)) is not rem
-    assert smooth_remainder(torsional(2)).harmonic_part == 0.0
+    # a potential that declares no confinement is its own smooth part
+    plain = torsional(2)
+    assert smooth_remainder(plain) == plain
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+@pytest.mark.parametrize("degree", [4, 8])
+def test_torsional_ho_declares_its_confinement_on_torsional(dim, degree,
+                                                            rng):
+    # the surrogate never sees the -x**2/2, so it is torsional's to the bit
+    spec = torsional_minus_harmonic(dim)
+    got = interpolate(spec, degree, time=0.3)
+    want = interpolate(torsional(dim), degree, time=0.3)
+    assert np.array_equal(got.degrees, want.degrees)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    pts = rng.uniform(-16, 16, size=(30, dim))
+    full = torsional(dim)(pts) - 0.5 * (pts ** 2).sum(axis=1)
+    assert np.max(np.abs(spec(pts) - full)) < 1e-12
 
 
 def test_potential_by_name_roundtrip():
@@ -399,7 +418,11 @@ def test_separable_potential_evaluates_the_axis_sum(rng):
     spec = separable_potential(lambda x, t: np.sin(x + t), 3, 4.0, kind="s")
     pts = rng.uniform(-4, 4, size=(20, 3))
     assert np.array_equal(spec(pts, 0.5), np.sin(pts + 0.5).sum(axis=1))
-    rem = smooth_remainder(dataclasses.replace(spec, harmonic_part=0.25))
-    assert rem.axis_term is not None and rem.harmonic_part == 0.0
-    assert np.max(np.abs(rem(pts, 0.5) - spec(pts, 0.5)
-                         + 0.25 * (pts ** 2).sum(axis=1))) < 1e-13
+    # a declared confinement adds to the complete potential only
+    confined = dataclasses.replace(spec, harmonic_part=0.25)
+    assert np.max(np.abs(confined(pts, 0.5) - spec(pts, 0.5)
+                         - 0.25 * (pts ** 2).sum(axis=1))) < 1e-13
+    assert smooth_remainder(confined) == spec
+    got, want = interpolate(confined, 5, 0.5), interpolate(spec, 5, 0.5)
+    assert np.array_equal(got.degrees, want.degrees)
+    assert np.array_equal(got.coeffs, want.coeffs)
