@@ -71,8 +71,6 @@ from .krylov_propagator import (
 from .error_lab import (
     FastHamiltonian,
     OracleHamiltonian,
-    PerturbationResult,
-    PropagationRow,
     build_reference,
     lanczos_perturbation_error,
     make_decay_vector,

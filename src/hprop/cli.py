@@ -20,7 +20,6 @@ any work starts; a later failure to write it also exits 1, with an
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hprop", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, beta=None, seed=False, scale=False, degree=8,
+    def common(p, *, beta=None, seed=False, degree=8,
                kmax="25,50,75", potential="torsional"):
         """Options shared by the subcommands; each adds only those it reads."""
         p.add_argument("--dims", type=_positive_int, default=2,
@@ -148,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"surrogate polynomial degree (default {degree})")
         p.add_argument("--halfwidth", type=_positive_float, default=16.0,
                        help="box half width L (default 16)")
-        if scale:
-            p.add_argument("--scale", type=_positive_float, default=1.0,
-                           help="basis dilation S (default 1)")
         if beta is not None:
             p.add_argument("--beta", type=_positive_int, default=beta,
                            help=f"decay exponent of test vectors "
@@ -165,18 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output file (default stdout)")
 
     p = sub.add_parser("bench", help="time fast apply vs dense oracle")
-    common(p, seed=True, scale=True, kmax="20,40,60")
+    common(p, seed=True, kmax="20,40,60")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("quaderr", help="quadrature error study")
-    common(p, beta=5, scale=True)
+    common(p, beta=5)
     p.set_defaults(func=cmd_quaderr)
 
     p = sub.add_parser("rederr", help="index set reduction error study")
-    common(p, beta=5, scale=True)
+    common(p, beta=5)
     p.set_defaults(func=cmd_rederr)
 
-    # perturb and propagate split off the undilated oscillator, so no --scale
     p = sub.add_parser("perturb", help="Krylov perturbation error study")
     common(p, beta=3, kmax="10,20,30,40", potential="torsional-ho")
     p.add_argument("--lanczos", type=_positive_int, default=5,
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("verify", help="run numerical self-checks")
-    common(p, seed=True, scale=True, kmax="10")
+    common(p, seed=True, kmax="10")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -257,23 +252,15 @@ def _meta(args, **extra) -> dict:
 
 def _warn_support(args) -> None:
     for k in args.kmax:
-        violation = check_support_condition(getattr(args, "scale", 1.0),
-                                            args.halfwidth, k)
+        violation = check_support_condition(args.halfwidth, k)
         if violation:
             print(violation, file=sys.stderr)
 
 
 def _effective_approx(args):
-    """Surrogate of the potential's smooth part, dilation folded into the
-    half width: with basis functions dilated by S, T_r(x / L) becomes
-    T_r(u / (S L)) in node coordinates u = S x.
-    """
-    spec = potential_by_name(args.potential, args.dims, args.halfwidth)
-    approx = interpolate(spec, args.degree)
-    if args.scale != 1.0:
-        approx = dataclasses.replace(
-            approx, halfwidth=args.scale * args.halfwidth)
-    return approx
+    """Surrogate of the potential's smooth part on [-L, L]^N."""
+    return interpolate(potential_by_name(args.potential, args.dims,
+                                         args.halfwidth), args.degree)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -351,10 +338,9 @@ def cmd_perturb(args) -> int:
     def work(point):
         k, h = point
         iset = build_hyperbolic(args.dims, k)
-        res = lanczos_perturbation_error(iset, spec, args.degree, args.beta,
+        err = lanczos_perturbation_error(iset, spec, args.degree, args.beta,
                                          float(h), args.lanczos)
-        return [args.dims, k, iset.size, args.lanczos, str(h), float(h),
-                res.error]
+        return [args.dims, k, iset.size, args.lanczos, str(h), float(h), err]
 
     rows = [work(point) for point in points]
     _emit(args, _meta(args),
@@ -377,11 +363,12 @@ def cmd_propagate(args) -> int:
 
     def work(k: int):
         iset = build_hyperbolic(args.dims, k)
-        rows = propagate_and_compare(iset, spec, args.degree, args.beta,
-                                     scheme, step_counts, args.lanczos)
+        errors = propagate_and_compare(iset, spec, args.degree, args.beta,
+                                       scheme, step_counts, args.lanczos)
         return [[args.dims, k, iset.size, args.scheme, args.lanczos,
-                 str(Fraction(1, r.nsteps)), r.step, r.scheme_error,
-                 r.perturbation_error] for r in rows]
+                 str(Fraction(1, n)), 1 / n, scheme_err, perturbation_err]
+                for n, (scheme_err, perturbation_err)
+                in zip(step_counts, errors)]
 
     rows = [row for k in args.kmax for row in work(k)]
     _emit(args, _meta(args, reference_tol=REFERENCE_TOL),

@@ -153,8 +153,8 @@ class OracleHamiltonian:
     iset: IndexSet
     potential: PotentialSpec
     degree: int
-    _terms: dict = field(default_factory=dict, repr=False)
-    _static: np.ndarray | None = field(default=None, repr=False)
+    _terms: dict = field(init=False, default_factory=dict, repr=False)
+    _static: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         _check_dims(self.iset, self.potential)
@@ -195,55 +195,25 @@ class OracleHamiltonian:
 # -- single-step Lanczos studies ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbationResult:
-    """One measurement of the fast-matvec effect on a Krylov exponential."""
-
-    error: float
-    bound: float | None
-
-
 def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
                                degree: int, beta: int, h: float,
-                               krylov_steps: int, *,
-                               with_bound: bool = False) -> PerturbationResult:
+                               krylov_steps: int) -> float:
     """Distance between Krylov exponentials built on oracle vs fast matvecs.
 
     Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 at t = 0, from
     the normalized beta-decay vector, where the tilded factorization uses
     the insertion algorithm on the pruned set and the plain one uses the
-    assembled matrix.  With ``with_bound`` the sensitivity estimate
-    h ||F|| exp(h (||A|| + ||F||)) is evaluated too (dense norms, so only
-    for small problems).
+    assembled matrix.
     """
     v = make_decay_vector(iset, beta).data.astype(np.complex128)
-    mat = OracleHamiltonian(iset, potential, degree).matrix_at(0.0)
+    plain = OracleHamiltonian(iset, potential, degree).matvec_at(0.0)
     fast = FastHamiltonian(iset, potential, degree).matvec_at(0.0)
-    u_plain, fac_plain = lanczos_exp_apply(lambda w: mat @ w, v, h,
-                                           krylov_steps)
-    u_fast, fac_fast = lanczos_exp_apply(fast, v, h, krylov_steps)
-    err = float(np.linalg.norm(u_plain - u_fast))
-    bound = None
-    if with_bound:
-        cols = [mat @ fac_fast.basis[:, k] - fast(fac_fast.basis[:, k])
-                for k in range(fac_fast.steps)]
-        fnorm = float(np.linalg.norm(np.stack(cols, axis=1), 2))
-        anorm = float(np.linalg.norm(mat, 2))
-        bound = h * fnorm * float(np.exp(h * (anorm + fnorm)))
-    return PerturbationResult(err, bound)
+    u_plain, _ = lanczos_exp_apply(plain, v, h, krylov_steps)
+    u_fast, _ = lanczos_exp_apply(fast, v, h, krylov_steps)
+    return float(np.linalg.norm(u_plain - u_fast))
 
 
 # -- full propagation study -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropagationRow:
-    """Errors of one fast-matvec propagation run at a fixed step size."""
-
-    nsteps: int
-    step: float
-    scheme_error: float
-    perturbation_error: float
 
 
 REFERENCE_TOL = 1e-12
@@ -281,30 +251,26 @@ def propagate_and_compare(iset: IndexSet, potential: PotentialSpec,
                           degree: int, beta: int, scheme: MagnusScheme,
                           step_counts: Sequence[int], krylov_steps: int, *,
                           reference: np.ndarray | None = None
-                          ) -> list[PropagationRow]:
+                          ) -> list[tuple[float, float]]:
     """March the ODE over [0, 1] with fast matvecs; endpoint errors per step.
 
-    For each step count the run is repeated with assembled-matrix matvecs
-    under the same scheme; the max-norm distance between the two endpoint
-    states is the perturbation error, while the distance to the reference
-    (built here on the same oracle if not supplied) is the total scheme
-    error.
+    Returns one (scheme error, perturbation error) pair per step count.  The
+    run is repeated with assembled-matrix matvecs under the same scheme; the
+    max-norm distance between the two endpoint states is the perturbation
+    error, while the distance to the reference (built here on the same
+    oracle if not supplied) is the total scheme error.
     """
     y0 = make_decay_vector(iset, beta).data.astype(np.complex128)
     fast = FastHamiltonian(iset, potential, degree)
     oracle = OracleHamiltonian(iset, potential, degree)
     if reference is None:
         reference = build_reference(oracle, y0)
-    rows = []
+    errors = []
     for nsteps in step_counts:
         y_fast = propagate_magnus(scheme, fast.matvec_at, y0, 0.0, 1.0,
                                   nsteps, krylov_steps)
         y_plain = propagate_magnus(scheme, oracle.matvec_at, y0, 0.0, 1.0,
                                    nsteps, krylov_steps)
-        rows.append(PropagationRow(
-            nsteps=nsteps,
-            step=1 / nsteps,
-            scheme_error=float(np.max(np.abs(y_fast - reference))),
-            perturbation_error=float(np.max(np.abs(y_fast - y_plain))),
-        ))
-    return rows
+        errors.append((float(np.max(np.abs(y_fast - reference))),
+                       float(np.max(np.abs(y_fast - y_plain)))))
+    return errors

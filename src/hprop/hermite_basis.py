@@ -97,24 +97,22 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights, omega)
 
 
-def check_support_condition(scaling: float, halfwidth: float,
-                            max_order: int) -> str | None:
-    """Check that the scaled box [-L, L] covers the span of the basis.
+def check_support_condition(halfwidth: float, max_order: int) -> str | None:
+    """Check that the box [-L, L] covers the span of the basis.
 
     The highest retained basis function of order K lives essentially inside
     |x| <= sqrt(2(K+1)) + 1; the box must contain that interval for the
     polynomial surrogate of the potential to see the whole wave packet.
-    Returns the violation message, or None when S * L is large enough.
+    Returns the violation message, or None when L is large enough.
     """
-    if scaling <= 0 or halfwidth <= 0:
-        raise ValueError("scaling and halfwidth must be positive")
+    if halfwidth <= 0:
+        raise ValueError("halfwidth must be positive")
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
     required = math.sqrt(2.0 * (max_order + 1)) + 1.0
-    product = scaling * halfwidth
-    if product >= required:
+    if halfwidth >= required:
         return None
-    return (f"support condition violated: S*L = {product:.4g} < "
+    return (f"support condition violated: L = {halfwidth:.4g} < "
             f"sqrt(2(K+1)) + 1 = {required:.4g} "
-            f"(deficit {required - product:.4g}); the truncated basis is not "
-            f"resolved on [-L, L] and interpolation degrades")
+            f"(deficit {required - halfwidth:.4g}); the truncated basis is "
+            f"not resolved on [-L, L] and interpolation degrades")

@@ -152,7 +152,7 @@ def test_krylov_perturbation_magnitude_and_linear_step_scaling():
     spec = torsional_minus_harmonic(2)
     for bound, target in PERTURBATION_TARGETS.items():
         iset = build_hyperbolic(2, bound)
-        errs = [lanczos_perturbation_error(iset, spec, 8, 3, h, 5).error
+        errs = [lanczos_perturbation_error(iset, spec, 8, 3, h, 5)
                 for h in (1 / 10, 1 / 20, 1 / 40, 1 / 80)]
         assert in_band(errs[0], target), (bound, errs[0], target)
         for coarse, fine in zip(errs, errs[1:]):
@@ -181,7 +181,7 @@ def propagation_study():
 
 def test_propagation_error_bands_and_scheme_orders(propagation_study):
     midpoint, gl2, elapsed = propagation_study
-    errs = [row.scheme_error for row in midpoint]
+    errs = [scheme_error for scheme_error, _ in midpoint]
     for value, target in zip(errs, MIDPOINT_TARGETS):
         assert in_band(value, target), (errs, MIDPOINT_TARGETS)
     # second-order decay while above the perturbation floor
@@ -190,7 +190,7 @@ def test_propagation_error_bands_and_scheme_orders(propagation_study):
     # never grows when the step shrinks, even once the floor is reached
     for coarse, fine in zip(errs, errs[1:]):
         assert fine <= coarse * 1.05
-    gl2_err = gl2[0].scheme_error
+    gl2_err = gl2[0][0]
     assert in_band(gl2_err, GL2_TARGET), gl2_err
     assert gl2_err < errs[0]
     assert elapsed < 900.0

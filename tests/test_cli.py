@@ -1,9 +1,14 @@
 """End-to-end checks of the command line driver, run in process."""
 
+import argparse
+
 import pytest
 
 from hprop import assemble_with_rule, gauss_hermite_rule
-from hprop.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from hprop.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, \
+    build_parser, main
+
+SUBCOMMANDS = ("bench", "quaderr", "rederr", "perturb", "propagate", "verify")
 
 
 def run(argv, capsys):
@@ -165,26 +170,44 @@ def test_usage_errors_exit_one(capsys):
 
 # degree 8 on K = 12 has a thin margin; the comparison does not depend on it
 @pytest.mark.filterwarnings("ignore:surrogate degree:UserWarning")
-def test_scale_dilates_the_surrogate_box(capsys):
-    # torsional is 1 - cos(x / L): with S = 2 and L = 8 the recurrence sees
-    # 1 - cos(u / 16) in node coordinates u = S x, the S = 1, L = 16 surrogate
+def test_halfwidth_sets_the_surrogate_box(capsys):
+    # torsional is 1 - cos(x / L), so L changes the surrogate and the rows
     argv = ["rederr", "--kmax", "12,20"]
-    code, dilated, _ = run(argv + ["--halfwidth", "8", "--scale", "2"], capsys)
+    code, wide, _ = run(argv + ["--halfwidth", "16"], capsys)
     assert code == EXIT_OK
-    code, plain, _ = run(argv + ["--halfwidth", "16"], capsys)
+    code, narrow, _ = run(argv + ["--halfwidth", "8"], capsys)
     assert code == EXIT_OK
-    assert parse_csv(dilated)[2] == parse_csv(plain)[2]
-    code, undilated, _ = run(argv + ["--halfwidth", "8"], capsys)
-    assert parse_csv(undilated)[2] != parse_csv(plain)[2]
+    assert parse_csv(narrow)[2] != parse_csv(wide)[2]
 
 
 def test_dilated_splitting_is_rejected(capsys):
-    # perturb and propagate split off the undilated oscillator, so they
-    # have no --scale option and argparse refuses one
-    for cmd in ("perturb", "propagate"):
+    # the box half width L is the only length; no subcommand has a dilation
+    for cmd in SUBCOMMANDS:
         code, _, err = run([cmd, "--kmax", "6", "--scale", "2"], capsys)
-        assert code == EXIT_USAGE
-        assert "unrecognized arguments: --scale 2" in err
+        assert code == EXIT_USAGE, cmd
+        assert "unrecognized arguments: --scale 2" in err, cmd
+
+
+# degree 8 on K = 2 has a thin margin; only the option reads matter here
+@pytest.mark.filterwarnings("ignore:surrogate degree:UserWarning")
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_each_subcommand_reads_every_option_it_accepts(cmd, tmp_path):
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    argv = [cmd, "--kmax", "2", "--out", str(tmp_path / "out.csv")]
+    if cmd in ("perturb", "propagate"):
+        argv += ["--h", "1/2"]
+    args = build_parser().parse_args(argv, namespace=Recorder())
+    reads.clear()  # parsing itself probes every destination
+    assert args.func(args) == EXIT_OK
+    # echoing an option in the CSV header does not count as reading it
+    unread = set(vars(args)) - reads - {"func", "command"}
+    assert not unread, f"{cmd} accepts options it never reads: {unread}"
 
 
 def test_propagate_rejects_steps_that_do_not_tile_the_interval(capsys):

@@ -117,8 +117,7 @@ def test_rule_beyond_double_range_is_refused():
 @given(st.integers(0, 40))
 def test_support_check_boundary(max_order):
     required = math.sqrt(2.0 * (max_order + 1)) + 1.0
-    assert check_support_condition(1.0, required + 1e-9, max_order) is None
-    assert check_support_condition(2.0, required / 2.0, max_order) is None
-    bad = check_support_condition(1.0, required - 1e-2, max_order)
+    assert check_support_condition(required + 1e-9, max_order) is None
+    bad = check_support_condition(required - 1e-2, max_order)
     assert bad.startswith("support condition violated")
     assert "(deficit 0.01)" in bad
