@@ -37,7 +37,7 @@ from .potential_approx import (
     henon_heiles_perturbed,
     interpolate,
     potential_by_name,
-    separable_potential,
+    product_potential,
     smooth_remainder,
     torsional,
     torsional_minus_harmonic,

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .fast_apply import fast_algorithm, get_applier
-from .galerkin_oracle import assemble_exact_galerkin, \
+from .galerkin_oracle import assemble_exact_galerkin, check_dense, \
     assemble_oscillator_diagonal, assemble_quad_galerkin, assemble_square_sum
 from .hermite_basis import gauss_hermite_rule
 from .index_set import CoeffVector, IndexSet, build_full, extend, restrict
@@ -57,8 +57,9 @@ def quadrature_error(iset: IndexSet, approx: ChebApprox,
     Both matrices come from the dense oracle; the quadrature one uses the
     rule of order K that the insertion algorithm implicitly realizes, the
     exact one an over-resolved rule that integrates every entry exactly.
-    The exact one comes first: it checks the dense cap before any rule.
+    Both are held at once, so both count against the dense cap.
     """
+    check_dense(iset.size, 2)
     wx = assemble_exact_galerkin(iset, approx).matrix
     wx -= assemble_quad_galerkin(iset, approx,
                                  gauss_hermite_rule(iset.bound)).matrix
@@ -174,6 +175,10 @@ class OracleHamiltonian:
 
     def matrix_at(self, t: float) -> np.ndarray:
         approx = interpolate(self.potential, self.degree, time=t)
+        # every term matrix held or needed, the static part, the sum and
+        # the sum's complex copy in matvec_at, which is twice the size
+        needed = self._terms.keys() | {tup for tup, _ in approx.terms}
+        check_dense(self.iset.size, len(needed) + 4)
         if self._static is None:
             base = assemble_oscillator_diagonal(self.iset).matrix
             q = self.potential.harmonic_part

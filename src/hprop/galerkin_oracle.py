@@ -18,7 +18,8 @@ partners ``IndexSet.locate`` finds, never through the fast applier's neighbor
 tables, and so check them; on any set of rows they restrict exactly.
 
 Assembly cost is O(size**2 * nterms * M * dim) and is guarded by the row cap
-``DENSE_CAP``, checked before any matrix or rule is built.
+``DENSE_CAP``, checked before any matrix or rule is built; callers that hold
+several matrices at once check them against one cap-sized matrix's entries.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from .potential_approx import ChebApprox
 DENSE_CAP = 20_000
 
 
-def _check_cap(size: int) -> None:
-    if size > DENSE_CAP:
+def check_dense(size: int, matrices: int = 1) -> None:
+    """Refuse size x size matrices beyond DENSE_CAP rows, or ``matrices`` of
+    them that together hold more entries than one cap-sized matrix."""
+    if size > DENSE_CAP or matrices * size * size > DENSE_CAP ** 2:
         raise ValueError(
-            f"dense assembly of a {size} x {size} matrix exceeds the cap of "
-            f"{DENSE_CAP} rows")
+            f"dense assembly of {matrices} x {size}**2 entries exceeds the "
+            f"cap of {DENSE_CAP} rows or {DENSE_CAP}**2 entries")
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def assemble_coordinate(iset: IndexSet, axis: int) -> DenseOperator:
     """Dense coordinate matrix X_axis: sqrt((j_l + 1) / 2) at j, j + e_axis."""
     if not 1 <= axis <= iset.dim:
         raise ValueError(f"axis must satisfy 1 <= axis <= {iset.dim}, got {axis}")
-    _check_cap(iset.size)
+    check_dense(iset.size)
     jl = iset.indices[:, axis - 1].astype(np.float64)
     mat = np.zeros((iset.size, iset.size), dtype=np.float64)
     _couple(mat, iset, axis, 1, np.sqrt((jl + 1.0) / 2.0))
@@ -77,7 +80,7 @@ def assemble_coordinate(iset: IndexSet, axis: int) -> DenseOperator:
 
 def assemble_oscillator_diagonal(iset: IndexSet) -> DenseOperator:
     """diag(sum_l (j_l + 1/2)), the kinetic-plus-confinement part."""
-    _check_cap(iset.size)
+    check_dense(iset.size)
     levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
     return DenseOperator(iset, np.diag(levels))
 
@@ -143,7 +146,7 @@ def assemble_with_rule(iset: IndexSet, approx: ChebApprox,
     if approx.dim != iset.dim:
         raise ValueError(f"surrogate dimension {approx.dim} does not match "
                          f"index set dimension {iset.dim}")
-    _check_cap(iset.size)
+    check_dense(iset.size)
     return DenseOperator(iset, _quadrature_assembly(iset, approx, rule))
 
 
@@ -169,7 +172,7 @@ def assemble_exact_galerkin(iset: IndexSet,
     The rule order K + R integrates every basis-times-surrogate product
     exactly (degree <= 2K + R <= 2 (K + R) + 1).
     """
-    _check_cap(iset.size)
+    check_dense(iset.size)
     rule = gauss_hermite_rule(iset.bound + approx.degree)
     return assemble_with_rule(iset, approx, rule)
 

@@ -7,11 +7,11 @@ surrogate
 
 obtained by interpolation at the Chebyshev-Gauss points
 x_i = L * cos(pi (2i + 1) / (2R + 2)) per axis, where R is the maximal
-per-axis degree.  A potential declared additively separable (``axis_term``)
-is interpolated in 1-D on those R+1 nodes, so its surrogate carries only
-axis-aligned terms and no (R+1)**dim grid is built.  Any other potential is
-evaluated on the full tensor grid.  On both routes coefficients below 1e-14
-times the largest magnitude are dropped.  Time enters through the potential
+per-axis degree.  A potential declared as a sum of products of univariate
+factors (``products``, as every bundled one is) is interpolated factor by
+factor on the R+1 nodes of one axis, so no (R+1)**dim grid is built; any
+other is evaluated on the full tensor grid.  Both routes drop coefficients
+below 1e-14 times the largest magnitude.  Time enters through the potential
 alone; a time-dependent problem simply re-interpolates at every requested t.
 
 Evaluators must be pointwise: each output row depends only on its own
@@ -28,8 +28,6 @@ V = W + q * sum_l x_l**2 enters H = D + V with D the oscillator diagonal:
 * ``torsional-ho``   the same W,                    q = -1/2
 * ``henon-heiles``   chained cubic couplings with a sin(t)**2 drive on x_1,
                      q = 0
-
-The first two are declared separable; Henon-Heiles is not.
 """
 
 from __future__ import annotations
@@ -81,11 +79,10 @@ class PotentialSpec:
     q x**2 (order q L**2 / 2) would otherwise dominate every
     reduction-error budget.
 
-    ``axis_term``, when set, declares W additively separable:
-    W(x, t) = sum_l w(x_l, t) with the same univariate w on every axis.  It
-    maps (coordinates, t) -> values elementwise, for coordinate arrays of
-    any shape, and ``interpolate`` then works from w alone.  Build such
-    specs with ``separable_potential``, which derives ``evaluator`` from w.
+    ``products``, when set, declares W(x, t) = sum_p prod_{(l, f) in p}
+    f(x_l, t), each axis at most once per product, with every factor f
+    elementwise on arrays of any shape; ``interpolate`` then works from the
+    factors alone.  ``product_potential`` builds such specs.
 
     Calling the spec gives the complete potential V.
     """
@@ -95,7 +92,7 @@ class PotentialSpec:
     halfwidth: float
     evaluator: Callable[[np.ndarray, float], np.ndarray]
     harmonic_part: float = 0.0
-    axis_term: Callable[[np.ndarray, float], np.ndarray] | None = None
+    products: tuple[tuple[tuple[int, Callable], ...], ...] | None = None
 
     def __call__(self, x, t: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -107,14 +104,20 @@ class PotentialSpec:
         return vals[0] if np.asarray(x).ndim == 1 else vals
 
 
-def separable_potential(axis_term, dim: int, halfwidth: float,
-                        kind: str = "separable") -> PotentialSpec:
-    """W(x, t) = sum_l w(x_l, t) for the elementwise univariate w = axis_term."""
+def product_potential(products, dim: int, halfwidth: float,
+                      kind: str = "products") -> PotentialSpec:
+    """W(x, t) = sum_p prod_{(l, f) in p} f(x_l, t) for elementwise factors f;
+    each product is a sequence of (axis, factor) pairs on distinct axes."""
+    products = tuple(tuple((int(l), f) for l, f in p) for p in products)
+    for axes in ([l for l, _ in p] for p in products):
+        if len(set(axes) & set(range(dim))) < len(axes):
+            raise ValueError(f"product axes {axes} repeat or leave 0..{dim - 1}")
 
     def ev(pts, t):
-        return axis_term(pts, t).sum(axis=-1)
+        return sum((math.prod((f(pts[:, l], t) for l, f in p), start=1.0)
+                    for p in products), np.zeros(pts.shape[0]))
 
-    return PotentialSpec(kind, dim, float(halfwidth), ev, axis_term=axis_term)
+    return PotentialSpec(kind, dim, float(halfwidth), ev, products=products)
 
 
 def smooth_remainder(spec: PotentialSpec) -> PotentialSpec:
@@ -128,7 +131,7 @@ def torsional(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
     def w(x, t):
         return 1.0 - np.cos(x / L)
 
-    return separable_potential(w, dim, L, TORSIONAL)
+    return product_potential([[(l, w)] for l in range(dim)], dim, L, TORSIONAL)
 
 
 def torsional_minus_harmonic(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
@@ -138,22 +141,28 @@ def torsional_minus_harmonic(dim: int, halfwidth: float = 16.0) -> PotentialSpec
 
 
 def henon_heiles_perturbed(dim: int, halfwidth: float = 16.0) -> PotentialSpec:
-    """Chained cubic couplings with a time-periodic linear drive on axis 1.
-
-    Everything is expressed in the stretched coordinates y_l = x_l / L,
-    including the drive, whose amplitude oscillates as sin(t)^2.  The
-    quadratic confinement that localizes the wavepacket is not part of this
-    potential; it lives in the oscillator reference operator, so the
-    surrogate only ever sees the gentle anharmonic part.
-    """
+    """W = sum_l (y_l**2 y_{l+1} - y_{l+1}**3 / 3) - sin(t)**2 y_1 in the
+    stretched coordinates y_l = x_l / L, one product per term.  The
+    confinement that localizes the wavepacket lives in the oscillator
+    reference operator, so the surrogate sees only the anharmonic part."""
     L = float(halfwidth)
 
-    def ev(pts, t):
-        y = pts / L
-        core = (y[:, :-1] ** 2 * y[:, 1:] - y[:, 1:] ** 3 / 3.0).sum(axis=-1)
-        return core - math.sin(t) ** 2 * y[:, 0]
+    def square(x, t):
+        return (x / L) ** 2
 
-    return PotentialSpec(HENON_HEILES, dim, L, ev)
+    def linear(x, t):
+        return x / L
+
+    def cubic(x, t):
+        return -(x / L) ** 3 / 3.0
+
+    def drive(x, t):
+        return -math.sin(t) ** 2 * (x / L)
+
+    products = [[(0, drive)]]
+    for l in range(dim - 1):
+        products += [[(l, square), (l + 1, linear)], [(l + 1, cubic)]]
+    return product_potential(products, dim, L, HENON_HEILES)
 
 
 def custom_potential(evaluator, dim: int, halfwidth: float,
@@ -203,12 +212,10 @@ class ChebApprox:
 
 
 def _validation_points(dim: int, halfwidth: float) -> np.ndarray:
-    if dim == 1:
-        return np.linspace(-halfwidth, halfwidth, 33)[:, None]
-    if dim == 2:
+    if dim <= 2:
         g = np.linspace(-halfwidth, halfwidth, 33)
-        gx, gy = np.meshgrid(g, g, indexing="ij")
-        return np.stack([gx.reshape(-1), gy.reshape(-1)], axis=1)
+        return np.stack(np.meshgrid(*[g] * dim, indexing="ij"),
+                        axis=-1).reshape(-1, dim)
     rng = np.random.default_rng(_VALIDATION_SEED)
     return rng.uniform(-halfwidth, halfwidth, size=(33 * 33, dim))
 
@@ -246,20 +253,32 @@ def _finite(vals: np.ndarray) -> np.ndarray:
 
 
 def _significant(coeffs: np.ndarray) -> np.ndarray:
-    # all False when every coefficient is zero
-    return np.abs(coeffs) > DROP_THRESHOLD * float(np.max(np.abs(coeffs)))
+    # all False when every coefficient is zero, or there is none
+    amax = float(np.max(np.abs(coeffs), initial=0.0))
+    return np.abs(coeffs) > DROP_THRESHOLD * amax
 
 
-def _axis_terms(a: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # Surrogate of sum_l w(x_l) from the 1-D coefficients a of w, rows in
-    # lexicographic order: the constant dim * a_0, then a_1 .. a_R on the
-    # last axis, on the one before it, and so on to the first.
-    R = a.shape[0] - 1
-    degrees = np.zeros((1 + dim * R, dim), dtype=np.int64)
-    degrees[np.arange(1, 1 + dim * R), np.repeat(np.arange(dim)[::-1], R)] = \
-        np.tile(np.arange(1, R + 1), dim)
-    coeffs = np.concatenate([[dim * a[0]], np.tile(a[1:], dim)])
-    return degrees, coeffs
+def _product_terms(products, C: np.ndarray, nodes: np.ndarray, dim: int,
+                   time: float) -> tuple[np.ndarray, np.ndarray]:
+    # Each distinct factor is interpolated once, on the nodes of one axis.
+    # A product's coefficients are the outer product of its factors',
+    # placed on its axes; equal rows of different products are summed
+    # exactly rounded, and the rows come out in lexicographic order.
+    factors, sums = {}, {}
+    for p in products:
+        block = np.ones(())
+        for _, f in p:
+            if f not in factors:
+                factors[f] = C @ _finite(np.asarray(f(nodes, time), float))
+            block = np.multiply.outer(block, factors[f])
+        rows = np.zeros((block.size, dim), dtype=np.int64)
+        rows[:, [l for l, _ in p]] = \
+            np.indices(block.shape).reshape(len(p), block.size).T
+        for row, c in zip(map(tuple, rows.tolist()), block.ravel().tolist()):
+            sums.setdefault(row, []).append(c)
+    keys = sorted(sums)
+    return (np.array(keys, dtype=np.int64).reshape(len(keys), dim),
+            np.array([math.fsum(sums[k]) for k in keys]))
 
 
 def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebApprox:
@@ -267,30 +286,30 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
 
     ``degree`` is the maximal per-axis degree R; each axis carries R+1 nodes
     L*cos(pi (2i+1) / (2R+2)).  Coefficients come from the discrete cosine
-    orthogonality of the node family, applied axis by axis.  A separable
-    spec evaluates its ``axis_term`` on the R+1 nodes of one axis only; any
-    other is evaluated on the whole (R+1)**dim grid.  The grid and the
-    (R+1)**2 cosine matrix are size-checked before either is built.
+    orthogonality of the node family, applied axis by axis.  A spec with
+    ``products`` evaluates each distinct factor on the R+1 nodes of one axis
+    and takes each product's (R+1)**len(p) coefficients as an outer
+    product; any other is evaluated on the whole (R+1)**dim grid.  Those
+    sizes and the (R+1)**2 cosine matrix are checked before any evaluation.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
-    R, N, L = degree, spec.dim, spec.halfwidth
+    R, N, L, time = degree, spec.dim, spec.halfwidth, float(time)
     n = R + 1
-    if spec.axis_term is None:
-        check_size(n ** N, "interpolation grid points")
+    for k in [N] if spec.products is None else map(len, spec.products):
+        check_size(n ** k, "interpolation grid points")
     check_size(n * n, "cosine matrix entries")
     theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     # C[k, i] = (2 - delta_{k0})/n * cos(k * theta_i)
     C = np.cos(np.arange(n)[:, None] * theta[None, :]) * (2.0 / n)
     C[0] *= 0.5
     nodes = L * np.cos(theta)
-    if spec.axis_term is not None:
-        w = np.asarray(spec.axis_term(nodes, float(time)), dtype=np.float64)
-        degrees, coeffs = _axis_terms(C @ _finite(w), N)
+    if spec.products is not None:
+        degrees, coeffs = _product_terms(spec.products, C, nodes, N, time)
         mask = _significant(coeffs)
         degrees = degrees[mask]
     else:
-        vals = _grid_values(spec.evaluator, nodes, N, float(time))
+        vals = _grid_values(spec.evaluator, nodes, N, time)
         coeffs = _finite(vals).reshape((n,) * N)
         for _ in range(N):
             coeffs = np.tensordot(coeffs, C, axes=([0], [1]))
@@ -299,7 +318,7 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
     kept = coeffs[mask]
     degrees.setflags(write=False)
     kept.setflags(write=False)
-    return ChebApprox(N, R, L, float(time), degrees, kept)
+    return ChebApprox(N, R, L, time, degrees, kept)
 
 
 def fit_error(spec: PotentialSpec, approx: ChebApprox) -> float:
@@ -308,7 +327,7 @@ def fit_error(spec: PotentialSpec, approx: ChebApprox) -> float:
     1089 otherwise)."""
     vpts = _validation_points(approx.dim, approx.halfwidth)
     resid = eval_interpolant(approx, vpts) - spec.evaluator(vpts, approx.time)
-    return float(np.max(np.abs(resid))) if resid.size else 0.0
+    return float(np.max(np.abs(resid)))
 
 
 def eval_interpolant(approx: ChebApprox, x) -> np.ndarray:
@@ -317,9 +336,6 @@ def eval_interpolant(approx: ChebApprox, x) -> np.ndarray:
     if pts.shape[1] != approx.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, "
                          f"surrogate has {approx.dim}")
-    out = np.zeros(pts.shape[0], dtype=np.float64)
-    if approx.nterms == 0:
-        return out[0] if np.asarray(x).ndim == 1 else out
     prod = np.ones((approx.nterms, pts.shape[0]), dtype=np.float64)
     for l in range(approx.dim):
         table = chebyshev_values(pts[:, l] / approx.halfwidth, approx.degree)

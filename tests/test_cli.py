@@ -1,10 +1,12 @@
 """End-to-end checks of the command line driver, run in process."""
 
 import argparse
+import dataclasses
 
 import pytest
 
-from hprop import assemble_with_rule, gauss_hermite_rule
+from hprop import assemble_with_rule, gauss_hermite_rule, interpolate, \
+    potential_by_name
 from hprop.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, \
     build_parser, main
 
@@ -367,3 +369,36 @@ def test_floats_roundtrip_at_full_precision(tmp_path, capsys):
                            make_decay_vector(iset, 3))
     assert float(val) == rep.max()
     assert rep.max() > 0.0
+
+
+def cli_potentials():
+    """Every value some subcommand accepts for --potential."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return sorted({name for p in subs.choices.values() for a in p._actions
+                   if a.dest == "potential" for name in a.choices})
+
+
+@pytest.mark.parametrize("name", cli_potentials())
+def test_every_bundled_potential_interpolates_without_its_grid(name):
+    # at 20-D and degree 8 the tensor grid would hold 9**20 points, so a
+    # bundled potential must declare products and never call its evaluator
+    def never_called(pts, t):
+        raise AssertionError("the N-D evaluator must not be called")
+
+    spec = dataclasses.replace(potential_by_name(name, 20),
+                               evaluator=never_called)
+    assert interpolate(spec, 8).nterms > 0
+
+
+def test_bench_runs_henon_heiles_beyond_the_tensor_grid(capsys):
+    # 4**13 grid points exceed the interpolation ceiling; the products
+    # need none, and the dense side is skipped at |I| = 38429
+    code, out, _ = run(["bench", "--dims", "13", "--kmax", "40",
+                        "--potential", "henon-heiles", "--degree", "3"],
+                       capsys)
+    assert code == EXIT_OK
+    header, columns, rows = parse_csv(out)
+    assert rows[0][columns.index("set_size")] == "38429"
+    assert rows[0][columns.index("nterms")] == "36"
+    assert rows[0][-1] == "skipped_cap"

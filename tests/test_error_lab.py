@@ -251,3 +251,28 @@ def test_reference_agrees_with_a_fixed_step_run_four_times_finer(monkeypatch):
                             error_lab.REFERENCE_KRYLOV)
     tol = error_lab.REFERENCE_TOL * np.max(np.abs(y0))
     assert np.max(np.abs(reference - fine)) <= 10 * tol
+
+
+def test_dense_budget_counts_every_matrix_the_oracle_holds(monkeypatch):
+    assembled = []
+    real = error_lab.assemble_quad_galerkin
+
+    def spy(*args):
+        assembled.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(galerkin_oracle, "DENSE_CAP", 100)
+    monkeypatch.setattr(error_lab, "assemble_quad_galerkin", spy)
+    iset = build_hyperbolic(2, 20)          # 70 rows <= 100
+    spec = torsional_minus_harmonic(2)
+    # five term matrices plus four: 9 * 70**2 entries > 100**2
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        OracleHamiltonian(iset, spec, 4).matrix_at(0.0)
+    assert assembled == []
+    # the exact and the quadrature matrix: 2 * 70**2 <= 100**2
+    errors = quadrature_error(iset, interpolate(spec, 4),
+                              make_decay_vector(iset, 3))
+    assert errors.shape == (70,) and assembled == [70]
+    galerkin_oracle.check_dense(70, 2)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        galerkin_oracle.check_dense(70, 3)

@@ -15,7 +15,7 @@ from hprop import (
     henon_heiles_perturbed,
     interpolate,
     potential_by_name,
-    separable_potential,
+    product_potential,
     smooth_remainder,
     torsional,
     torsional_minus_harmonic,
@@ -177,7 +177,7 @@ def test_smooth_remainder_subtracts_declared_confinement(rng):
     rem = smooth_remainder(spec)
     assert rem.harmonic_part == 0.0
     assert rem.evaluator is spec.evaluator
-    assert rem.axis_term is spec.axis_term
+    assert rem.products is spec.products
     pts = rng.uniform(-16, 16, size=(30, 2))
     assert np.array_equal(rem(pts), spec.evaluator(pts, 0.0))
     want = spec(pts) + 0.5 * (pts ** 2).sum(axis=1)
@@ -268,9 +268,9 @@ def test_blocked_grid_matches_whole_grid_interpolation(spec, degree, blocks):
         calls.append(pts.shape[0])
         return spec.evaluator(pts, t)
 
-    # clearing the separable declaration keeps the bundled specs on the grid
+    # clearing the product declaration keeps the bundled specs on the grid
     got = interpolate(dataclasses.replace(spec, evaluator=counted,
-                                          axis_term=None), degree, time=0.3)
+                                          products=None), degree, time=0.3)
     assert len(calls) == blocks
     want = meshgrid_interpolate(spec, degree, 0.3)
     assert np.array_equal(got.degrees, want.degrees)
@@ -326,12 +326,16 @@ def test_evaluator_that_writes_its_argument_gives_the_same_surrogate():
 # -- the separable route ------------------------------------------------------
 
 
+def gaussian_factor(x, t):
+    return np.exp(-x * x / 40.0 - t)
+
+
 SEPARABLE = [
     torsional,
     torsional_minus_harmonic,
     lambda dim: smooth_remainder(torsional_minus_harmonic(dim)),
-    lambda dim: separable_potential(lambda x, t: np.exp(-x * x / 40.0 - t),
-                                    dim, 8.0),
+    lambda dim: product_potential([[(l, gaussian_factor)] for l in range(dim)],
+                                  dim, 8.0),
 ]
 ULP = np.finfo(float).eps
 
@@ -348,7 +352,7 @@ def test_separable_surrogates_have_no_mixed_terms(make):
                 active = (approx.degrees > 0).sum(axis=1)
                 assert np.all(active <= 1), (dim, degree, t,
                                              approx.degrees[active > 1])
-        assert spec.axis_term is not None
+        assert spec.products is not None
 
 
 def separable_approx_per_axis(approx):
@@ -372,7 +376,8 @@ def test_axis_coefficients_match_chebinterpolate(make, dim):
     L = spec.halfwidth
     for degree in (1, 3, 8):
         approx = interpolate(spec, degree, time=0.3)
-        ref = C.chebinterpolate(lambda y: spec.axis_term(L * y, 0.3), degree)
+        w = spec.products[0][0][1]
+        ref = C.chebinterpolate(lambda y: w(L * y, 0.3), degree)
         tol = 32 * ULP * float(np.max(np.abs(ref)))
         amax = float(np.max(np.abs(approx.coeffs)))
         kept = np.zeros(degree + 1, dtype=bool)
@@ -415,7 +420,10 @@ def test_separable_spec_beyond_the_grid_ceiling_never_builds_the_grid():
 
 
 def test_separable_potential_evaluates_the_axis_sum(rng):
-    spec = separable_potential(lambda x, t: np.sin(x + t), 3, 4.0, kind="s")
+    def sine(x, t):
+        return np.sin(x + t)
+
+    spec = product_potential([[(l, sine)] for l in range(3)], 3, 4.0, kind="s")
     pts = rng.uniform(-4, 4, size=(20, 3))
     assert np.array_equal(spec(pts, 0.5), np.sin(pts + 0.5).sum(axis=1))
     # a declared confinement adds to the complete potential only
@@ -426,3 +434,68 @@ def test_separable_potential_evaluates_the_axis_sum(rng):
     got, want = interpolate(confined, 5, 0.5), interpolate(spec, 5, 0.5)
     assert np.array_equal(got.degrees, want.degrees)
     assert np.array_equal(got.coeffs, want.coeffs)
+
+
+# -- the product route --------------------------------------------------------
+
+
+def never_called(pts, t):
+    raise AssertionError("this function must not be called")
+
+
+@pytest.mark.parametrize("dim", [13, 20])
+def test_henon_heiles_interpolates_without_its_evaluator(dim):
+    # its tensor grid at degree 3 would hold 4**dim >= 67108864 points
+    spec = dataclasses.replace(henon_heiles_perturbed(dim),
+                               evaluator=never_called)
+    # y_l**2 y_{l+1} and y_{l+1}**3 share the T_1 row on axis l + 1, and
+    # the drive on the first axis vanishes at t = 0
+    assert interpolate(spec, 3, time=0.7).nterms == 3 * dim - 2
+    assert interpolate(spec, 3, time=0.0).nterms == 3 * dim - 3
+
+
+def assert_matches_tensor_route(spec, degree, time):
+    got = interpolate(spec, degree, time=time)
+    want = interpolate(custom_potential(spec.evaluator, spec.dim,
+                                        spec.halfwidth), degree, time=time)
+    assert np.array_equal(got.degrees, want.degrees)
+    scale = float(np.max(np.abs(want.coeffs)))
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_henon_heiles_product_route_matches_tensor_route(dim):
+    spec = henon_heiles_perturbed(dim)
+    for t in (0.0, 0.7):
+        assert_matches_tensor_route(spec, 3, t)
+
+
+def test_product_on_non_adjacent_axes_matches_tensor_route():
+    def sine(x, t):
+        return np.sin(x / 4.0 + t)
+
+    def cosine(x, t):
+        return np.cos(x / 4.0)
+
+    spec = product_potential([[(0, sine), (2, gaussian_factor)],
+                              [(1, cosine)]], 3, 8.0)
+    for degree in (3, 8):
+        for t in (0.0, 0.3):
+            assert_matches_tensor_route(spec, degree, t)
+    mixed = interpolate(spec, 8).degrees
+    assert not np.any(mixed[:, 1] * (mixed[:, 0] + mixed[:, 2]))
+
+
+@pytest.mark.parametrize("axes", [[1, 1], [0, 3], [-1]])
+def test_product_potential_refuses_repeated_or_outside_axes(axes):
+    with pytest.raises(ValueError, match="product axes"):
+        product_potential([[(0, gaussian_factor)],
+                           [(l, gaussian_factor) for l in axes]], 3, 8.0)
+
+
+def test_oversized_product_is_refused_before_any_factor_is_called():
+    # nine factors at degree 8 would hold 9**9 coefficients
+    spec = product_potential([[(l, never_called) for l in range(9)]], 9,
+                             16.0)
+    with pytest.raises(ValueError, match="^387420489 interpolation grid"):
+        interpolate(spec, 8)
