@@ -30,7 +30,6 @@ from .hermite_basis import (
 from .potential_approx import (
     ChebApprox,
     PotentialSpec,
-    chebyshev_values,
     custom_potential,
     eval_interpolant,
     fit_error,

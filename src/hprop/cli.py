@@ -299,10 +299,10 @@ def cmd_bench(args) -> int:
 
 def cmd_quaderr(args) -> int:
     _warn_support(args)
+    approx = _effective_approx(args)
 
     def work(k: int):
         iset = build_hyperbolic(args.dims, k)
-        approx = _effective_approx(args)
         v = make_decay_vector(iset, args.beta)
         errors = quadrature_error(iset, approx, v)
         return [args.dims, k, iset.size, float(np.max(errors))]
@@ -333,16 +333,16 @@ def cmd_rederr(args) -> int:
 def cmd_perturb(args) -> int:
     _warn_support(args)
     spec = potential_by_name(args.potential, args.dims, args.halfwidth)
-    points = [(k, h) for k in args.kmax for h in args.h]
 
-    def work(point):
-        k, h = point
+    def work(k: int):
         iset = build_hyperbolic(args.dims, k)
-        err = lanczos_perturbation_error(iset, spec, args.degree, args.beta,
-                                         float(h), args.lanczos)
-        return [args.dims, k, iset.size, args.lanczos, str(h), float(h), err]
+        errors = lanczos_perturbation_error(iset, spec, args.degree, args.beta,
+                                            [float(h) for h in args.h],
+                                            args.lanczos)
+        return [[args.dims, k, iset.size, args.lanczos, str(h), float(h), err]
+                for h, err in zip(args.h, errors)]
 
-    rows = [work(point) for point in points]
+    rows = [row for k in args.kmax for row in work(k)]
     _emit(args, _meta(args),
           ["dim", "bound", "set_size", "krylov_steps", "step", "step_value",
            "error"], rows)
@@ -392,6 +392,7 @@ def cmd_verify(args) -> int:
     _warn_support(args)
     lines = []
     failures = 0
+    approx = _effective_approx(args)
 
     def record(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
@@ -409,7 +410,6 @@ def cmd_verify(args) -> int:
                f"residual={diag_res:.3e}")
 
         full = build_full(args.dims, k)
-        approx = _effective_approx(args)
         rng = np.random.default_rng([args.seed, args.dims, k])
         v = rng.standard_normal(full.size)
         dense = assemble_with_rule(full, approx,

@@ -201,21 +201,25 @@ class OracleHamiltonian:
 
 
 def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
-                               degree: int, beta: int, h: float,
-                               krylov_steps: int) -> float:
+                               degree: int, beta: int, steps: Sequence[float],
+                               krylov_steps: int) -> list[float]:
     """Distance between Krylov exponentials built on oracle vs fast matvecs.
 
-    Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 at t = 0, from
-    the normalized beta-decay vector, where the tilded factorization uses
-    the insertion algorithm on the pruned set and the plain one uses the
-    assembled matrix.
+    Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 at t = 0 for
+    each step size h in ``steps``, from the normalized beta-decay vector,
+    where the tilded factorization uses the insertion algorithm on the
+    pruned set and the plain one uses the assembled matrix.  Both operators
+    are built once and serve every step size.
     """
     v = make_decay_vector(iset, beta).data.astype(np.complex128)
     plain = OracleHamiltonian(iset, potential, degree).matvec_at(0.0)
     fast = FastHamiltonian(iset, potential, degree).matvec_at(0.0)
-    u_plain, _ = lanczos_exp_apply(plain, v, h, krylov_steps)
-    u_fast, _ = lanczos_exp_apply(fast, v, h, krylov_steps)
-    return float(np.linalg.norm(u_plain - u_fast))
+    errors = []
+    for h in steps:
+        u_plain, _ = lanczos_exp_apply(plain, v, h, krylov_steps)
+        u_fast, _ = lanczos_exp_apply(fast, v, h, krylov_steps)
+        errors.append(float(np.linalg.norm(u_plain - u_fast)))
+    return errors
 
 
 # -- full propagation study -----------------------------------------------------

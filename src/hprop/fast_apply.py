@@ -102,6 +102,9 @@ class PolynomialApplier:
         recurrence sums the series at the cost of one sweep.
         """
         n, N = self.size, self.dim
+        if approx.dim != N:
+            raise ValueError(f"surrogate dimension {approx.dim} does not "
+                             f"match index set dimension {N}")
         if axis_order is None:
             order = list(range(N, 0, -1))
         else:
@@ -184,11 +187,11 @@ class PolynomialApplier:
             bufs = np.zeros((4, n + 1), dtype=acc.dtype)
         leaf = ~degs[:, 1:].any(axis=1)
         top = int(deg.max())
+        # a term finishing here has degree >= 1 on this axis: the root gets
+        # only walked terms, and a child only terms its parent left open
         weights = np.bincount(deg[leaf], coeffs[leaf],
                               minlength=top + 1).tolist()
         kids = set(deg[~leaf].tolist())
-        if weights[0] != 0.0:
-            acc += weights[0] * u[:n]
         a = order[0] - 1
         prev, cur = None, u
         for k in range(1, top + 1):
@@ -268,9 +271,6 @@ def _check_vector(iset: IndexSet, v: CoeffVector) -> None:
 
 
 def _check_approx(iset: IndexSet, approx: ChebApprox) -> None:
-    if approx.dim != iset.dim:
-        raise ValueError(f"surrogate dimension {approx.dim} does not match "
-                         f"index set dimension {iset.dim}")
     if approx.degree > iset.bound / 2:
         warnings.warn(
             f"surrogate degree {approx.degree} exceeds half the basis bound "

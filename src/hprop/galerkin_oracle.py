@@ -50,9 +50,8 @@ def check_dense(size: int, matrices: int = 1) -> None:
 @dataclass(frozen=True)
 class DenseOperator:
     """A dense matrix over an index set's canonical ordering: entry (i, j)
-    couples the i-th and j-th members of ``iset``."""
+    couples the set's i-th and j-th members."""
 
-    iset: IndexSet
     matrix: np.ndarray
 
 
@@ -75,14 +74,14 @@ def assemble_coordinate(iset: IndexSet, axis: int) -> DenseOperator:
     jl = iset.indices[:, axis - 1].astype(np.float64)
     mat = np.zeros((iset.size, iset.size), dtype=np.float64)
     _couple(mat, iset, axis, 1, np.sqrt((jl + 1.0) / 2.0))
-    return DenseOperator(iset, mat)
+    return DenseOperator(mat)
 
 
 def assemble_oscillator_diagonal(iset: IndexSet) -> DenseOperator:
     """diag(sum_l (j_l + 1/2)), the kinetic-plus-confinement part."""
     check_dense(iset.size)
     levels = (iset.indices + 0.5).sum(axis=1).astype(np.float64)
-    return DenseOperator(iset, np.diag(levels))
+    return DenseOperator(np.diag(levels))
 
 
 def assemble_square_sum(iset: IndexSet) -> DenseOperator:
@@ -96,7 +95,7 @@ def assemble_square_sum(iset: IndexSet) -> DenseOperator:
     for axis in range(1, iset.dim + 1):
         jl = iset.indices[:, axis - 1].astype(np.float64)
         _couple(mat, iset, axis, 2, np.sqrt((jl + 1.0) * (jl + 2.0)) / 2.0)
-    return DenseOperator(iset, mat)
+    return DenseOperator(mat)
 
 
 def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
@@ -147,7 +146,7 @@ def assemble_with_rule(iset: IndexSet, approx: ChebApprox,
         raise ValueError(f"surrogate dimension {approx.dim} does not match "
                          f"index set dimension {iset.dim}")
     check_dense(iset.size)
-    return DenseOperator(iset, _quadrature_assembly(iset, approx, rule))
+    return DenseOperator(_quadrature_assembly(iset, approx, rule))
 
 
 def assemble_quad_galerkin(iset: IndexSet, approx: ChebApprox,
@@ -185,9 +184,8 @@ def verify_diagonalization(max_order: int, dim: int) -> tuple[float, float]:
     first vanishing says coordinate matrices diagonalize in the quadrature
     node basis; the second is discrete orthonormality.
     """
-    if (max_order + 1) ** dim > 10_000:
-        raise ValueError("diagonalization check limited to 10000 basis "
-                         "functions; reduce max_order or dim")
+    # U, U^T U, U^T Xi U and X are held at once
+    check_dense((max_order + 1) ** dim, 4)
     full = build_full(dim, max_order)
     rule = gauss_hermite_rule(max_order)
     phi = eval_hermite_functions(rule.nodes, max_order)      # (K+1, M+1)

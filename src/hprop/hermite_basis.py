@@ -27,17 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 
-def eval_hermite_functions(x, max_order: int) -> np.ndarray:
-    """Values phi_k(x) for k = 0..max_order.
-
-    Returns shape (max_order+1,) for scalar ``x`` and (max_order+1, len(x))
-    for a 1-d array of points.
-    """
+def eval_hermite_functions(x: np.ndarray, max_order: int) -> np.ndarray:
+    """Values phi_k(x) for k = 0..max_order at a 1-d array of points, as an
+    array of shape (max_order+1, len(x))."""
     if max_order < 0:
         raise ValueError(f"max_order must be nonnegative, got {max_order}")
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    y = np.atleast_1d(x)
+    y = np.asarray(x, dtype=np.float64)
     out = np.empty((max_order + 1, y.shape[0]), dtype=np.float64)
     out[0] = np.pi ** (-0.25) * np.exp(-0.5 * y * y)
     if max_order >= 1:
@@ -45,7 +40,7 @@ def eval_hermite_functions(x, max_order: int) -> np.ndarray:
     for k in range(1, max_order):
         out[k + 1] = (np.sqrt(2.0 / (k + 1)) * y * out[k]
                       - np.sqrt(k / (k + 1.0)) * out[k - 1])
-    return out[:, 0] if scalar else out
+    return out
 
 
 @dataclass(frozen=True)

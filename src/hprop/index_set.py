@@ -26,7 +26,7 @@ run covers every axis; the position of a row's last key is its ordinal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,15 +91,6 @@ class IndexSet:
     @property
     def size(self) -> int:
         return self.indices.shape[0]
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return map(tuple, self.indices.tolist())
-
-    def __contains__(self, index) -> bool:
-        return bool(self.locate(index) >= 0)
 
     def __repr__(self) -> str:
         return f"IndexSet(dim={self.dim}, bound={self.bound}, size={self.size})"
@@ -261,10 +252,6 @@ class CoeffVector:
         if not np.all(np.isfinite(data)):
             raise ValueError("coefficient vector contains non-finite entries")
         self.data = data
-
-    @property
-    def size(self) -> int:
-        return self.data.shape[0]
 
 
 def _check_cube(subset: IndexSet, full: IndexSet) -> None:

@@ -47,10 +47,6 @@ class LanczosFactorization:
     breakdown_at: int | None
     hermiticity_defect: float
 
-    @property
-    def steps(self) -> int:
-        return self.alpha.shape[0]
-
     def orthogonality_defect(self) -> float:
         g = self.basis.conj().T @ self.basis
         return float(np.max(np.abs(g - np.eye(g.shape[0]))))
@@ -137,7 +133,6 @@ class MagnusScheme:
     """A one-step exponential integrator defined by its operator average."""
 
     name: str
-    order: int
 
     @staticmethod
     def from_name(name: str) -> "MagnusScheme":
@@ -150,8 +145,8 @@ class MagnusScheme:
 
 
 _SCHEMES = {
-    "midpoint": MagnusScheme("midpoint", 2),
-    "gl2": MagnusScheme("gl2", 4),
+    "midpoint": MagnusScheme("midpoint"),
+    "gl2": MagnusScheme("gl2"),
 }
 
 

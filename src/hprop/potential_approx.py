@@ -51,19 +51,6 @@ TORSIONAL_HO = "torsional-ho"
 HENON_HEILES = "henon-heiles"
 
 
-def chebyshev_values(y, max_degree: int) -> np.ndarray:
-    """T_0(y) .. T_R(y) on [-1, 1]; shape (R+1,) scalar / (R+1, len(y)) array."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    y = np.asarray(y, dtype=np.float64)
-    scalar = y.ndim == 0
-    yy = np.atleast_1d(y)
-    if np.any(np.abs(yy) > 1.0 + _CUBE_SLACK):
-        raise ValueError("argument outside [-1, 1]")
-    out = chebvander(np.clip(yy, -1.0, 1.0), max_degree).T
-    return out[:, 0] if scalar else out
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential V(x, t) = W(x, t) + q * sum_l x_l**2 on [-L, L]**dim.
@@ -84,7 +71,8 @@ class PotentialSpec:
     elementwise on arrays of any shape; ``interpolate`` then works from the
     factors alone.  ``product_potential`` builds such specs.
 
-    Calling the spec gives the complete potential V.
+    The complete potential is V(x, t) = evaluator(x, t)
+    + harmonic_part * sum_l x_l**2.
     """
 
     kind: str
@@ -93,15 +81,6 @@ class PotentialSpec:
     evaluator: Callable[[np.ndarray, float], np.ndarray]
     harmonic_part: float = 0.0
     products: tuple[tuple[tuple[int, Callable], ...], ...] | None = None
-
-    def __call__(self, x, t: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points have dimension {pts.shape[1]}, "
-                             f"potential has {self.dim}")
-        vals = np.asarray(self.evaluator(pts, float(t)), dtype=np.float64)
-        vals = vals + self.harmonic_part * (pts * pts).sum(axis=1)
-        return vals[0] if np.asarray(x).ndim == 1 else vals
 
 
 def product_potential(products, dim: int, halfwidth: float,
@@ -336,9 +315,12 @@ def eval_interpolant(approx: ChebApprox, x) -> np.ndarray:
     if pts.shape[1] != approx.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, "
                          f"surrogate has {approx.dim}")
+    y = pts / approx.halfwidth
+    if np.any(np.abs(y) > 1.0 + _CUBE_SLACK):
+        raise ValueError("points outside the surrogate's box")
     prod = np.ones((approx.nterms, pts.shape[0]), dtype=np.float64)
     for l in range(approx.dim):
-        table = chebyshev_values(pts[:, l] / approx.halfwidth, approx.degree)
+        table = chebvander(np.clip(y[:, l], -1.0, 1.0), approx.degree).T
         prod *= table[approx.degrees[:, l], :]
     out = approx.coeffs @ prod
     return out[0] if np.asarray(x).ndim == 1 else out

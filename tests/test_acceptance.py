@@ -152,8 +152,8 @@ def test_krylov_perturbation_magnitude_and_linear_step_scaling():
     spec = torsional_minus_harmonic(2)
     for bound, target in PERTURBATION_TARGETS.items():
         iset = build_hyperbolic(2, bound)
-        errs = [lanczos_perturbation_error(iset, spec, 8, 3, h, 5)
-                for h in (1 / 10, 1 / 20, 1 / 40, 1 / 80)]
+        errs = lanczos_perturbation_error(iset, spec, 8, 3,
+                                          [1 / 10, 1 / 20, 1 / 40, 1 / 80], 5)
         assert in_band(errs[0], target), (bound, errs[0], target)
         for coarse, fine in zip(errs, errs[1:]):
             assert 1.8 <= coarse / fine <= 2.2, (bound, errs)

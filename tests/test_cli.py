@@ -2,6 +2,9 @@
 
 import argparse
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from hprop.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, \
     build_parser, main
 
 SUBCOMMANDS = ("bench", "quaderr", "rederr", "perturb", "propagate", "verify")
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def run(argv, capsys):
@@ -123,6 +127,25 @@ def test_quaderr_output_is_reproducible(tmp_path, capsys):
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1]
     assert b"\r" not in blobs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quaderr", "--kmax", "10,20,30"],
+    ["verify", "--kmax", "6,8", "--degree", "3"],
+], ids=["quaderr", "verify"])
+def test_surrogate_is_interpolated_once_per_command(argv, capsys,
+                                                    monkeypatch):
+    # the surrogate does not depend on K
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr("hprop.cli.interpolate", count)
+    code, _, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_bench_data_columns_are_stable_across_runs(tmp_path, capsys):
@@ -402,3 +425,27 @@ def test_bench_runs_henon_heiles_beyond_the_tensor_grid(capsys):
     assert rows[0][columns.index("set_size")] == "38429"
     assert rows[0][columns.index("nterms")] == "36"
     assert rows[0][-1] == "skipped_cap"
+
+
+# -- the scripts/ drivers ----------------------------------------------------
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_command_lines_parse(path, tmp_path, monkeypatch):
+    # a renamed or dropped option fails here, not in a user's run
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}",
+                                                  path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parsed = []
+
+    def parse_only(argv):
+        parsed.append(build_parser().parse_args(argv))
+        return EXIT_OK
+
+    monkeypatch.setattr(script, "main", parse_only)
+    monkeypatch.setattr(script, "RESULTS", tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    assert script.run() == EXIT_OK
+    assert parsed
+    assert all(Path(args.out).parent == tmp_path for args in parsed)

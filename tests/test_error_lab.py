@@ -117,7 +117,7 @@ def test_local_mask_identifies_interior():
     assert mask[iset.locate((0, 0))]
     degs = approx.degrees.tolist()
     for i, j in enumerate(iset.indices.tolist()):
-        inside = all(tuple(a + b for a, b in zip(j, r)) in iset
+        inside = all(iset.locate([a + b for a, b in zip(j, r)]) >= 0
                      for r in degs)
         assert mask[i] == inside
 
@@ -145,7 +145,9 @@ def test_confinement_split_keeps_oracle_exact(rng):
     fast = FastHamiltonian(iset, spec, 6)
     approx = fast.approx_at(0.0)
     assert np.max(np.abs(approx.coeffs)) < 3.0
-    raw = interpolate(custom_potential(lambda p, t: spec(p, t), 2, 16.0), 6)
+    raw = interpolate(custom_potential(
+        lambda p, t: spec.evaluator(p, t)
+        + spec.harmonic_part * (p ** 2).sum(axis=1), 2, 16.0), 6)
     assert np.max(np.abs(raw.coeffs)) > 30.0
 
 
@@ -187,10 +189,26 @@ def test_oracle_caches_are_not_constructor_arguments():
 def test_perturbation_error_scales_linearly_in_step():
     iset = build_hyperbolic(2, 10)
     spec = torsional_minus_harmonic(2)
-    errs = [lanczos_perturbation_error(iset, spec, 8, 3, h, 5)
-            for h in (0.1, 0.05, 0.025)]
+    errs = lanczos_perturbation_error(iset, spec, 8, 3, [0.1, 0.05, 0.025], 5)
     assert 1.8 < errs[0] / errs[1] < 2.2
     assert 1.8 < errs[1] / errs[2] < 2.2
+
+
+def test_perturbation_study_assembles_each_term_once(monkeypatch):
+    # the Hamiltonians at t = 0 serve every step size
+    assembled = []
+
+    def count(*args):
+        assembled.append(tuple(args[1].degrees[0].tolist()))
+        return assemble(*args)
+
+    assemble = error_lab.assemble_quad_galerkin
+    monkeypatch.setattr(error_lab, "assemble_quad_galerkin", count)
+    spec = torsional_minus_harmonic(2)
+    errs = lanczos_perturbation_error(build_hyperbolic(2, 10), spec, 8, 3,
+                                      [0.1, 0.05, 0.025, 0.0125], 5)
+    assert len(errs) == 4
+    assert sorted(assembled) == [tup for tup, _ in interpolate(spec, 8).terms]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -41,11 +41,11 @@ def dense_coordinate(iset, axis):
         k = row[axis - 1]
         below = list(row)
         below[axis - 1] = k - 1
-        if k > 0 and tuple(below) in iset:
+        if k > 0 and iset.locate(below) >= 0:
             mat[i, iset.locate(below)] = math.sqrt(k / 2.0)
         above = list(row)
         above[axis - 1] = k + 1
-        if tuple(above) in iset:
+        if iset.locate(above) >= 0:
             mat[i, iset.locate(above)] = math.sqrt((k + 1) / 2.0)
     return mat
 
@@ -324,6 +324,17 @@ def test_vector_from_wrong_set_is_rejected(rng):
     v = CoeffVector(other, rng.standard_normal(other.size))
     with pytest.raises(ValueError, match="different index set"):
         fast_algorithm(iset, approx, v)
+
+
+@pytest.mark.parametrize("approx_dim", [1, 3])
+def test_applier_refuses_a_surrogate_of_another_dimension(approx_dim, rng):
+    # a wider surrogate would silently use its first degree columns, a
+    # narrower one would index past its own
+    iset = build_hyperbolic(2, 10)
+    approx = interpolate(torsional(approx_dim), 4)
+    v = rng.standard_normal(iset.size)
+    with pytest.raises(ValueError, match="surrogate dimension"):
+        get_applier(iset).apply_polynomial(approx, v)
 
 
 def test_degree_above_half_bound_warns(rng):

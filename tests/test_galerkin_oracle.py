@@ -144,5 +144,5 @@ def test_diagonalization_residuals_small():
     diag_res, orth_res = verify_diagonalization(20, 2)
     assert orth_res < 1e-11
     assert diag_res < 1e-10
-    with pytest.raises(ValueError, match="limited"):
+    with pytest.raises(ValueError, match="exceeds the cap"):
         verify_diagonalization(120, 2)

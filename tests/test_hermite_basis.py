@@ -14,7 +14,7 @@ from hprop import (
 
 def test_ground_state_value_at_origin():
     # phi_0(0) = pi**(-1/4), the only closed form worth pinning
-    val = eval_hermite_functions(0.0, 0)[0]
+    val = eval_hermite_functions(np.zeros(1), 0)[0, 0]
     assert val == pytest.approx(math.pi ** -0.25, rel=1e-15)
 
 

@@ -3,12 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from numpy.polynomial import chebyshev as C
 
 from hprop import (
     ChebApprox,
-    chebyshev_values,
     custom_potential,
     eval_interpolant,
     fit_error,
@@ -24,21 +22,17 @@ from hprop import index_set
 from hprop.potential_approx import DROP_THRESHOLD, GRID_BLOCK
 
 
-@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
-       st.integers(0, 12))
-def test_chebyshev_values_match_reference(ys, deg):
-    y = np.asarray(ys)
-    table = chebyshev_values(y, deg)
-    for k in range(deg + 1):
-        ref = C.chebval(y, [0.0] * k + [1.0])
-        assert np.max(np.abs(table[k] - ref)) < 1e-13
+def complete(spec, pts, t=0.0):
+    """The complete potential V = W + q * sum_l x_l**2 of ``spec``."""
+    return spec.evaluator(pts, t) + spec.harmonic_part * (pts ** 2).sum(axis=1)
 
 
-def test_chebyshev_values_reject_outside_interval():
+def test_eval_interpolant_rejects_points_outside_the_box():
+    approx = interpolate(torsional(2, 4.0), 3)
     with pytest.raises(ValueError):
-        chebyshev_values(np.array([0.0, 1.5]), 3)
+        eval_interpolant(approx, np.array([[0.0, 0.0], [0.0, 6.0]]))
     with pytest.raises(ValueError):
-        chebyshev_values(0.5, -1)
+        eval_interpolant(approx, np.array([[-4.5, 1.0]]))
 
 
 def test_interpolate_1d_matches_reference_fit():
@@ -179,9 +173,9 @@ def test_smooth_remainder_subtracts_declared_confinement(rng):
     assert rem.evaluator is spec.evaluator
     assert rem.products is spec.products
     pts = rng.uniform(-16, 16, size=(30, 2))
-    assert np.array_equal(rem(pts), spec.evaluator(pts, 0.0))
-    want = spec(pts) + 0.5 * (pts ** 2).sum(axis=1)
-    assert np.max(np.abs(rem(pts) - want)) < 1e-12
+    assert np.array_equal(complete(rem, pts), spec.evaluator(pts, 0.0))
+    want = complete(spec, pts) + 0.5 * (pts ** 2).sum(axis=1)
+    assert np.max(np.abs(complete(rem, pts) - want)) < 1e-12
     # a potential that declares no confinement is its own smooth part
     plain = torsional(2)
     assert smooth_remainder(plain) == plain
@@ -198,8 +192,8 @@ def test_torsional_ho_declares_its_confinement_on_torsional(dim, degree,
     assert np.array_equal(got.degrees, want.degrees)
     assert np.array_equal(got.coeffs, want.coeffs)
     pts = rng.uniform(-16, 16, size=(30, dim))
-    full = torsional(dim)(pts) - 0.5 * (pts ** 2).sum(axis=1)
-    assert np.max(np.abs(spec(pts) - full)) < 1e-12
+    full = complete(torsional(dim), pts) - 0.5 * (pts ** 2).sum(axis=1)
+    assert np.max(np.abs(complete(spec, pts) - full)) < 1e-12
 
 
 def test_potential_by_name_roundtrip():
@@ -209,17 +203,6 @@ def test_potential_by_name_roundtrip():
         assert spec.kind == name
     with pytest.raises(ValueError, match="unknown potential"):
         potential_by_name("quartic", 2)
-
-
-def test_potential_spec_call_shapes():
-    spec = torsional(2)
-    single = spec([1.0, 2.0])
-    batch = spec(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    assert np.isscalar(single) or single.ndim == 0
-    assert batch.shape == (2,)
-    assert batch[0] == pytest.approx(float(single))
-    with pytest.raises(ValueError, match="dimension"):
-        spec(np.zeros((3, 3)))
 
 
 # -- the blocked interpolation grid -------------------------------------------
@@ -425,10 +408,12 @@ def test_separable_potential_evaluates_the_axis_sum(rng):
 
     spec = product_potential([[(l, sine)] for l in range(3)], 3, 4.0, kind="s")
     pts = rng.uniform(-4, 4, size=(20, 3))
-    assert np.array_equal(spec(pts, 0.5), np.sin(pts + 0.5).sum(axis=1))
+    assert np.array_equal(complete(spec, pts, 0.5),
+                          np.sin(pts + 0.5).sum(axis=1))
     # a declared confinement adds to the complete potential only
     confined = dataclasses.replace(spec, harmonic_part=0.25)
-    assert np.max(np.abs(confined(pts, 0.5) - spec(pts, 0.5)
+    assert np.max(np.abs(complete(confined, pts, 0.5)
+                         - complete(spec, pts, 0.5)
                          - 0.25 * (pts ** 2).sum(axis=1))) < 1e-13
     assert smooth_remainder(confined) == spec
     got, want = interpolate(confined, 5, 0.5), interpolate(spec, 5, 0.5)
