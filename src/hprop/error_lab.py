@@ -32,8 +32,8 @@ from .galerkin_oracle import assemble_exact_galerkin, check_dense, \
     assemble_oscillator_diagonal, assemble_quad_galerkin, assemble_square_sum
 from .hermite_basis import gauss_hermite_rule
 from .index_set import CoeffVector, IndexSet, build_full, extend, restrict
-from .krylov_propagator import MagnusScheme, MatVec, lanczos_exp_apply, \
-    propagate_magnus
+from .krylov_propagator import MagnusScheme, MatVec, krylov_exponential, \
+    lanczos, propagate_magnus
 from .potential_approx import ChebApprox, PotentialSpec, interpolate
 
 
@@ -208,18 +208,19 @@ def lanczos_perturbation_error(iset: IndexSet, potential: PotentialSpec,
     Measures || V exp(-i h T) e_1 - V~ exp(-i h T~) e_1 ||_2 at t = 0 for
     each step size h in ``steps``, from the normalized beta-decay vector,
     where the tilded factorization uses the insertion algorithm on the
-    pruned set and the plain one uses the assembled matrix.  Both operators
-    are built once and serve every step size.
+    pruned set and the plain one uses the assembled matrix.  Each operator
+    is factored once: the Krylov space from v does not depend on h, so both
+    factorizations serve every step size.
     """
     v = make_decay_vector(iset, beta).data.astype(np.complex128)
-    plain = OracleHamiltonian(iset, potential, degree).matvec_at(0.0)
-    fast = FastHamiltonian(iset, potential, degree).matvec_at(0.0)
-    errors = []
-    for h in steps:
-        u_plain, _ = lanczos_exp_apply(plain, v, h, krylov_steps)
-        u_fast, _ = lanczos_exp_apply(fast, v, h, krylov_steps)
-        errors.append(float(np.linalg.norm(u_plain - u_fast)))
-    return errors
+    nrm = float(np.linalg.norm(v))
+    plain = lanczos(OracleHamiltonian(iset, potential, degree).matvec_at(0.0),
+                    v, krylov_steps)
+    fast = lanczos(FastHamiltonian(iset, potential, degree).matvec_at(0.0),
+                   v, krylov_steps)
+    return [float(np.linalg.norm(krylov_exponential(plain, nrm, h)
+                                 - krylov_exponential(fast, nrm, h)))
+            for h in steps]
 
 
 # -- full propagation study -----------------------------------------------------

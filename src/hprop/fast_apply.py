@@ -25,6 +25,15 @@ recurrence (Clenshaw 1955) sums the series.  In sweeps an apply costs the
 sum of the largest degrees of the nodes off the last axis, plus the last
 axis's largest degree; separable potentials cost one per axis, O(N R size).
 
+The trie depends on the surrogate's degree array and the axis order only,
+not on its coefficients, so it is compiled once into an immutable plan: the
+nodes (axis, top degree, weight slots, kids by degree, degree-0 kid),
+one int array mapping each term to its weight slot, and the walk's depth.
+An apply sums the coefficients into their slots with one bincount, which
+adds each slot's terms in term order, and then only sweeps and adds, in
+scratch rows allocated once per apply: three per live trie level and one
+shared temporary.
+
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
 commute and the order is irrelevant; on reduced sets it is part of the
@@ -35,11 +44,87 @@ from __future__ import annotations
 
 import warnings
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
 from .index_set import CoeffVector, IndexSet
 from .potential_approx import ChebApprox
+
+
+class _Node(NamedTuple):
+    """One trie node of a compiled walk.
+
+    A node off the last axis sweeps T_1 .. T_top of its axis in the three
+    scratch rows of its ``level``: the terms finishing at T_k sum into
+    weight ``slot + k``, ``kids[k - 1]`` (or None) walks the terms going on
+    from T_k, and ``zero`` those with degree 0 here, from this node's input
+    once its sweep is done.  A last-axis node (``kids`` None) only adds
+    weight ``slot + k`` times its input into z[k].
+    """
+
+    axis: int
+    top: int
+    slot: int
+    level: int
+    kids: tuple | None
+    zero: _Node | None
+
+
+class _Plan(NamedTuple):
+    """The walk of one degree array in one axis order.
+
+    ``slot[t]`` is term t's weight slot: its last-axis degree k for the
+    root's slots w0[0 .. top] of terms with no degree before the last axis,
+    else a slot of the node where it finishes.  ``depth`` counts the sweep
+    levels live at once, ``zrows`` the rows of z (0 when no walked term
+    reaches the last axis).
+    """
+
+    degrees: np.ndarray
+    slot: np.ndarray
+    nslots: int
+    top: int
+    zrows: int
+    depth: int
+    root: _Node | None
+
+
+def _compile(degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
+    """Group the terms of ``degrees`` into the trie walked in ``order``."""
+    degs = degrees[:, [a - 1 for a in order]]
+    last, walked = degs[:, -1], degs[:, :-1].any(axis=1)
+    top = int(last.max())
+    slot = last.copy()
+    nslots, depth = top + 1, 1
+
+    def node(terms, col, level):
+        nonlocal nslots, depth
+        deg = degs[terms, col]
+        base, top = nslots - 1, int(deg.max())
+        nslots += top
+        if col == len(order) - 1:
+            slot[terms] = base + deg
+            return _Node(order[col] - 1, top, base, level, None, None)
+        depth = max(depth, level + 1)
+        # a term finishing here has degree >= 1 on this axis: the root gets
+        # only walked terms, and a child only terms its parent left open
+        going = degs[terms, col + 1:].any(axis=1)
+        slot[terms[~going]] = base + deg[~going]
+        kids, zero = [None] * top, None
+        for k in sorted(set(deg[going].tolist())):
+            group = terms[going & (deg == k)]
+            if k:
+                kids[k - 1] = node(group, col + 1, level + 1)
+            else:
+                zero = node(group, col + 1, level)
+        return _Node(order[col] - 1, top, base, level, tuple(kids), zero)
+
+    root = node(np.flatnonzero(walked), 0, 0) if walked.any() else None
+    zrows = (top + 1) * bool(last[walked].any())
+    degrees = degrees.copy()
+    degrees.flags.writeable = slot.flags.writeable = False
+    return _Plan(degrees, slot, nslots, top, zrows, depth, root)
 
 
 class PolynomialApplier:
@@ -50,9 +135,18 @@ class PolynomialApplier:
     Each axis has one coupling table c_a = sqrt(k_a / 2), padded with a zero
     in slot n, built on first use in the vector's dtype with the sweep
     factor 2 / L folded in and cached per (dtype, factor); the x**2 ladder
-    and the oscillator diagonal are typed the same way.  Racing builders
-    make equal tables, and the per-call scratch vectors are allocated inside
-    each apply, so one applier can serve concurrent callers.
+    and the oscillator diagonal are typed the same way.
+
+    It also keeps one compiled plan per axis order, keyed by the full
+    degree array it was compiled from.  A run whose surrogate keeps its
+    degree set compiles once; a surrogate with another degree array (terms
+    can cross the drop threshold as time moves) compiles anew and replaces
+    that order's plan, so the cache holds one plan per order.
+
+    Tables and plans are never changed once stored, and a new one replaces
+    the old whole, so a caller keeps using the one it looked up; the scratch
+    rows are allocated inside each apply.  One applier can therefore serve
+    concurrent callers.
     """
 
     def __init__(self, iset: IndexSet):
@@ -63,6 +157,7 @@ class PolynomialApplier:
         self._down = [down for down, _ in tables]
         self._up = [up for _, up in tables]
         self._tables = {}
+        self._plans = {}
 
     @property
     def iset(self) -> IndexSet | None:
@@ -88,6 +183,13 @@ class PolynomialApplier:
         return self._table(("diagonal", dtype), lambda: (
             self.indices + 0.5).sum(axis=1).astype(dtype))
 
+    def _plan(self, degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
+        """The compiled walk of ``degrees`` in ``order``, cached per order."""
+        plan = self._plans.get(order)
+        if plan is None or not np.array_equal(plan.degrees, degrees):
+            plan = self._plans[order] = _compile(degrees, order)
+        return plan
+
     # -- full surrogate ---------------------------------------------------------
 
     def apply_polynomial(self, approx: ChebApprox, v: np.ndarray,
@@ -106,53 +208,52 @@ class PolynomialApplier:
             raise ValueError(f"surrogate dimension {approx.dim} does not "
                              f"match index set dimension {N}")
         if axis_order is None:
-            order = list(range(N, 0, -1))
+            order = tuple(range(N, 0, -1))
         else:
-            order = [int(a) for a in axis_order]
+            order = tuple(int(a) for a in axis_order)
             if sorted(order) != list(range(1, N + 1)):
                 raise ValueError(f"axis_order must permute 1..{N}")
         dtype = np.result_type(v.dtype, np.float64)
         acc = np.zeros(n, dtype=dtype)
         if not approx.nterms:
             return acc
-        degs = approx.degrees[:, [a - 1 for a in order]]
-        last, walked = degs[:, -1], degs[:, :-1].any(axis=1)
-        top = int(last.max())
-        w0 = np.bincount(last[~walked], approx.coeffs[~walked],
-                         minlength=top + 1).tolist()
-        # the root's four scratch rows, then z only if a walked term has a
-        # degree on the last axis: separable surrogates allocate no z
-        zrows = (top + 1) * bool(last[walked].any())
-        work = np.zeros((4 + zrows, n + 1), dtype=dtype)
-        bufs, z = work[:4], work[4:]
-        u = np.zeros(n + 1, dtype=dtype)
+        plan = self._plan(approx.degrees, order)
+        # each slot sums its terms in term order, as bincount always does
+        w = np.bincount(plan.slot, approx.coeffs,
+                        minlength=plan.nslots).tolist()
+        # one block: three sweep rows per level, one temporary, z, and last
+        # the padded input
+        rows = list(np.zeros((3 * plan.depth + 2 + plan.zrows, n + 1),
+                             dtype=dtype))
+        u = rows.pop()
         u[:n] = v
         # every sweep multiplies by 2 scale X; T_1 and the last Clenshaw
         # step halve once
         factor = 2.0 / approx.halfwidth
         coupling = self._table(("x", dtype, factor), lambda: self._per_axis(
             lambda k: np.sqrt(k / 2.0) * factor, dtype))
-        if walked.any():
-            self._walk(order, degs[walked], approx.coeffs[walked], coupling,
-                       u, acc, z, bufs)
+        tmp, z = rows[3 * plan.depth], rows[3 * plan.depth + 1:]
+        if plan.root is not None:
+            self._run(plan.root, u, w, coupling, rows, tmp, z, acc)
         # b_k = c_k + 2 scale X b_{k+1} - b_{k+2} (b_{top+1} = b_{top+2} = 0)
         # in row k % 3; the sum c_0 + scale X b_1 - b_2 lands in row 0
-        a = order[-1] - 1
+        top, a = plan.top, order[-1] - 1
         for k in range(top, -1, -1):
-            b = bufs[k % 3, :n]
+            b = rows[k % 3]
             if k < top:
-                self._times_x(a, coupling[a], bufs[(k + 1) % 3], b, bufs[3])
+                self._times_x(a, coupling[a], rows[(k + 1) % 3], b[:n], tmp)
                 if not k:
                     b *= 0.5
             else:
                 b[:] = 0.0
             if k < top - 1:
-                b -= bufs[(k + 2) % 3, :n]
-            if w0[k] != 0.0:
-                b += w0[k] * u[:n]
-            if zrows:
-                b += z[k, :n]
-        acc += bufs[0, :n]
+                b -= rows[(k + 2) % 3]
+            if w[k] != 0.0:
+                np.multiply(u, w[k], out=tmp)
+                b += tmp
+            if plan.zrows:
+                b += z[k]
+        acc += rows[0][:n]
         return acc
 
     def _times_x(self, a, c, src, out, tmp) -> None:
@@ -164,57 +265,41 @@ class PolynomialApplier:
         np.multiply(src[self._down[a]], c[:-1], out=out)
         out += tmp[self._up[a]]
 
-    def _walk(self, order, degs, coeffs, coupling, u, acc, z,
-              bufs=None) -> None:
-        """Add sum_t coeffs[t] * prod_i T_{degs[t, i]}(scale X_{order[i]}) u.
+    def _run(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
+        """Add the terms under ``node``, applied to the padded ``src``.
 
-        Factors apply in ``order``, whose first axis is this node's.  A node
-        off the last axis runs one sweep up to its terms' largest degree,
-        adds finished terms to ``acc`` and recurses per degree, so terms
-        sharing a prefix share its sweeps; on the last axis it only adds
-        coeffs * u into z[degree].  ``coupling`` holds the tables of
-        2 scale X per axis.  ``u`` is padded with a zero in slot n;
-        ``bufs`` holds four padded scratch rows free for this node, or None.
+        ``w`` holds the weights by slot, ``coupling`` the tables of
+        2 scale X per axis, ``rows`` the padded scratch rows (slot n stays
+        zero), ``tmp`` the shared temporary and ``z`` the last-axis sums.
         """
-        n = self.size
-        deg = degs[:, 0]
-        if len(order) == 1:
-            for k, w in enumerate(np.bincount(deg, coeffs).tolist()):
-                if w != 0.0:
-                    z[k] += w * u
+        n, slot = self.size, node.slot
+        if node.kids is None:
+            for k in range(1, node.top + 1):
+                if w[slot + k] != 0.0:
+                    np.multiply(src, w[slot + k], out=tmp)
+                    z[k] += tmp
             return
-        if bufs is None:
-            bufs = np.zeros((4, n + 1), dtype=acc.dtype)
-        leaf = ~degs[:, 1:].any(axis=1)
-        top = int(deg.max())
-        # a term finishing here has degree >= 1 on this axis: the root gets
-        # only walked terms, and a child only terms its parent left open
-        weights = np.bincount(deg[leaf], coeffs[leaf],
-                              minlength=top + 1).tolist()
-        kids = set(deg[~leaf].tolist())
-        a = order[0] - 1
-        prev, cur = None, u
-        for k in range(1, top + 1):
-            # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X u) into the
-            # scratch row that holds T_{k-3}; slot n stays zero
-            nxt = bufs[(k - 1) % 3]
-            self._times_x(a, coupling[a], cur, nxt[:n], bufs[3])
+        a, base = node.axis, 3 * node.level
+        prev, cur = None, src
+        for k in range(1, node.top + 1):
+            # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X src) into
+            # the level's row that holds T_{k-3}
+            nxt = rows[base + (k - 1) % 3]
+            self._times_x(a, coupling[a], cur, nxt[:n], tmp)
             if k > 1:
-                nxt[:n] -= prev[:n]
+                nxt -= prev
             else:
-                nxt[:n] *= 0.5
+                nxt *= 0.5
             prev, cur = cur, nxt
-            if weights[k] != 0.0:
-                acc += weights[k] * cur[:n]
-            if k in kids:
-                group = ~leaf & (deg == k)
-                self._walk(order[1:], degs[group, 1:], coeffs[group],
-                           coupling, cur, acc, z)
-        # the degree-0 group sees u itself, and this node's scratch is free
-        if 0 in kids:
-            group = ~leaf & (deg == 0)
-            self._walk(order[1:], degs[group, 1:], coeffs[group], coupling,
-                       u, acc, z, bufs)
+            if w[slot + k] != 0.0:
+                np.multiply(cur, w[slot + k], out=tmp)
+                acc += tmp[:n]
+            if node.kids[k - 1] is not None:
+                self._run(node.kids[k - 1], cur, w, coupling, rows, tmp, z,
+                          acc)
+        # the degree-0 group sees src itself, and this level's rows are free
+        if node.zero is not None:
+            self._run(node.zero, src, w, coupling, rows, tmp, z, acc)
 
     def apply_hamiltonian(self, approx: ChebApprox, v: np.ndarray) -> np.ndarray:
         out = self.apply_polynomial(approx, v)

@@ -116,13 +116,23 @@ def expm_tridiag_column(alpha: np.ndarray, beta: np.ndarray,
     return z @ (np.exp(-1j * tau * d) * z[0, :])
 
 
+def krylov_exponential(fac: LanczosFactorization, norm: float,
+                       tau: float) -> np.ndarray:
+    """||v|| V_m exp(-i tau T_m) e_1 from a factorization of A started at v.
+
+    ``norm`` is ||v||.  The Krylov space does not depend on tau, so one
+    factorization serves every tau.
+    """
+    col = expm_tridiag_column(fac.alpha, fac.beta, tau)
+    return norm * (fac.basis @ col)
+
+
 def lanczos_exp_apply(matvec: MatVec, v: np.ndarray, tau: float, steps: int, *,
                       reorthogonalize: bool = False
                       ) -> tuple[np.ndarray, LanczosFactorization]:
     """Approximate exp(-i tau A) v with a ``steps``-dimensional Krylov space."""
     fac = lanczos(matvec, v, steps, reorthogonalize=reorthogonalize)
-    col = expm_tridiag_column(fac.alpha, fac.beta, tau)
-    return float(np.linalg.norm(v)) * (fac.basis @ col), fac
+    return krylov_exponential(fac, float(np.linalg.norm(v)), tau), fac
 
 
 _SQRT3 = float(np.sqrt(3.0))

@@ -13,6 +13,8 @@ from hprop import (
     custom_potential,
     henon_heiles_perturbed,
     interpolate,
+    lanczos,
+    lanczos_exp_apply,
     lanczos_perturbation_error,
     make_decay_vector,
     propagate_and_compare,
@@ -23,7 +25,7 @@ from hprop import (
     torsional,
     torsional_minus_harmonic,
 )
-from hprop import error_lab, galerkin_oracle
+from hprop import error_lab, galerkin_oracle, krylov_propagator
 
 
 def test_decay_vector_values_and_normalization():
@@ -209,6 +211,31 @@ def test_perturbation_study_assembles_each_term_once(monkeypatch):
                                       [0.1, 0.05, 0.025, 0.0125], 5)
     assert len(errs) == 4
     assert sorted(assembled) == [tup for tup, _ in interpolate(spec, 8).terms]
+
+
+def test_perturbation_study_factors_each_operator_once(monkeypatch):
+    # the Krylov space from v does not depend on h: one factorization per
+    # operator serves all four step sizes, with the numbers a separate
+    # exponential per step size gives
+    calls = []
+
+    def count(matvec, v0, steps, **kwargs):
+        calls.append(steps)
+        return lanczos(matvec, v0, steps, **kwargs)
+
+    for module in (krylov_propagator, error_lab):
+        monkeypatch.setattr(module, "lanczos", count, raising=False)
+    iset, spec = build_hyperbolic(2, 10), torsional_minus_harmonic(2)
+    steps = [0.1, 0.05, 0.025, 0.0125]
+    errs = lanczos_perturbation_error(iset, spec, 8, 3, steps, 5)
+    assert calls == [5, 5]
+    v = make_decay_vector(iset, 3).data.astype(np.complex128)
+    plain = OracleHamiltonian(iset, spec, 8).matvec_at(0.0)
+    fast = FastHamiltonian(iset, spec, 8).matvec_at(0.0)
+    for h, err in zip(steps, errs):
+        u_plain, _ = lanczos_exp_apply(plain, v, h, 5)
+        u_fast, _ = lanczos_exp_apply(fast, v, h, 5)
+        assert err == float(np.linalg.norm(u_plain - u_fast))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

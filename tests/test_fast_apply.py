@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -30,6 +32,7 @@ from hprop import (
     square_sum_apply,
     torsional,
 )
+from hprop import fast_apply
 
 # -- test-local dense oracle, built straight from the two-band coupling rule --
 
@@ -193,9 +196,12 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
 
 def test_one_apply_allocates_no_block_per_degree(rng):
     # tracemalloc sees numpy buffers; peaks count items of n + 1 float64s.
-    # The bounds are the peaks of the per-node sweep (7.3 and 15.6 rows),
-    # rounded up, plus for mixed terms the (top + 1) rows of the Clenshaw
-    # coefficients: a separable surrogate allocates no such block at all
+    # An apply allocates three sweep rows per live level of the walk, one
+    # temporary, the padded input and the result, plus for mixed terms the
+    # (top + 1) rows of the Clenshaw coefficients: a separable surrogate
+    # (one level) allocates no such block at all.  The compiled walk peaks
+    # at 7.1 and 19.5 rows here; the bounds are those of the per-node walk
+    # it replaced, which peaked at 7.3 and 20.8
     iset = build_full(3, 12)
     appl = get_applier(iset)
     v = rng.standard_normal(iset.size)
@@ -305,6 +311,115 @@ def test_coupling_tables_are_cached_per_halfwidth(rng):
         got = appl.apply_polynomial(approx, v)
         want = PolynomialApplier(iset).apply_polynomial(approx, v)
         assert np.array_equal(got, want)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_plan_follows_a_changing_degree_set(rng):
+    # Henon-Heiles 3-D gains the term (1, 0, 0) between t = 0 and t = 0.3;
+    # alternating the two on one applier recompiles each time, keeping one
+    # plan per axis order, and every apply matches a fresh applier's
+    iset = build_hyperbolic(3, 16)
+    spec = henon_heiles_perturbed(3)
+    early, late = (interpolate(spec, 3, time=t) for t in (0.0, 0.3))
+    assert (early.nterms, late.nterms) == (6, 7)
+    appl = PolynomialApplier(iset)
+    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
+    for approx in (early, late, early, late):
+        for order in (None, (1, 2, 3)):
+            got = appl.apply_polynomial(approx, v, order)
+            want = PolynomialApplier(iset).apply_polynomial(approx, v, order)
+            assert same_bits(got, want)
+    assert len(appl._plans) == 2
+
+
+def test_concurrent_callers_alternating_degree_sets_agree(rng):
+    # more threads than cores keep replacing each other's plans on one
+    # applier; a caller must keep the plan it looked up, so every result
+    # stays the one a fresh applier gives
+    iset = build_hyperbolic(3, 16)
+    spec = henon_heiles_perturbed(3)
+    cases = [(interpolate(spec, 3, time=t), order)
+             for t in (0.0, 0.3) for order in (None, (1, 2, 3))]
+    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
+    want = [PolynomialApplier(iset).apply_polynomial(approx, v, order)
+            for approx, order in cases]
+    appl = PolynomialApplier(iset)
+    wrong = []
+
+    def caller(offset):
+        for i in range(200):
+            j = (i + offset) % len(cases)
+            approx, order = cases[j]
+            if not same_bits(appl.apply_polynomial(approx, v, order),
+                             want[j]):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_instants_of_one_degree_set_share_one_plan(monkeypatch, rng):
+    # the Gaussian well keeps its degree set over time: the second instant
+    # reuses the first one's plan, yet applies its own coefficients
+    compiled = []
+
+    def spy(degrees, order):
+        compiled.append(order)
+        return compile_plan(degrees, order)
+
+    compile_plan = fast_apply._compile
+    monkeypatch.setattr(fast_apply, "_compile", spy)
+    iset = build_hyperbolic(3, 24)
+    first, second = (interpolate(gaussian_well_spec(3), 8, time=t)
+                     for t in (0.2, 0.9))
+    assert np.array_equal(first.degrees, second.degrees)
+    assert not np.array_equal(first.coeffs, second.coeffs)
+    appl = PolynomialApplier(iset)
+    v = rng.standard_normal(iset.size)
+    got = [appl.apply_polynomial(approx, v) for approx in (first, second)]
+    assert compiled == [(3, 2, 1)]
+    for out, approx in zip(got, (first, second)):
+        assert same_bits(out, PolynomialApplier(iset).apply_polynomial(
+            approx, v))
+    assert not np.array_equal(got[0], got[1])
+
+
+@pytest.mark.parametrize("rows", [[], [[0, 0, 0]], [[0, 0, 0], [2, 0, 0],
+                                                   [5, 0, 0]]],
+                         ids=["empty", "constant", "last-axis-only"])
+def test_degenerate_surrogates_apply_through_their_plans(rows, rng):
+    # no term, only T_0, and terms on axis 1 only, which the default order
+    # applies last (no walk) and the reversed order first (a root alone)
+    iset = build_hyperbolic(3, 12)
+    degrees = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    approx = ChebApprox(dim=3, degree=int(degrees.max(initial=0)),
+                        halfwidth=16.0, time=0.0, degrees=degrees,
+                        coeffs=np.linspace(-1.0, 2.0, len(rows)))
+    appl = PolynomialApplier(iset)
+    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
+    for order in (None, (1, 2, 3)):
+        got = appl.apply_polynomial(approx, v, order)
+        assert same_bits(got, PolynomialApplier(iset).apply_polynomial(
+            approx, v, order))
+        want = dense_surrogate(iset, approx, order) @ v
+        assert np.max(np.abs(got - want), initial=0.0) \
+            < 1e-13 * max(np.max(np.abs(want), initial=0.0), 1.0)
+    if len(rows) == 1:
+        assert np.array_equal(got, approx.coeffs[0] * v)
 
 
 def test_apply_hamiltonian_adds_oscillator_diagonal(rng):
