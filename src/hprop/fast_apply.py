@@ -12,6 +12,10 @@ up neighbor j + e_l, so X_l v = c_l * v[down_l] + (c_l * v)[up_l].  The
 tables are kept in the vector's dtype with the recurrence factor 2 / L
 folded in, so a sweep is two gathers, two like-typed multiplies and an add
 (when 2 / L is a power of two, as for L = 16, folding it in rounds nothing).
+Where each row j with j_l >= 1 has j - e_l a constant s rows back and rows
+with j_l = 0 have no down neighbor, as on every axis of a cube and the last
+axis of a downward-closed set, the gathers are slices by s.  That is exact:
+a slice partner that is not a neighbor meets c_l = 0, as the padded zero.
 Chebyshev polynomials of X_l / L then follow from the three-term recurrence
 on whole coefficient vectors, and a tensor surrogate
 sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
@@ -135,7 +139,8 @@ class PolynomialApplier:
     Each axis has one coupling table c_a = sqrt(k_a / 2), padded with a zero
     in slot n, built on first use in the vector's dtype with the sweep
     factor 2 / L folded in and cached per (dtype, factor); the x**2 ladder
-    and the oscillator diagonal are typed the same way.
+    and the oscillator diagonal are typed the same way.  Each axis's
+    constant down shift, if any, is read once off the tables it holds.
 
     It also keeps one compiled plan per axis order, keyed by the full
     degree array it was compiled from.  A run whose surrogate keeps its
@@ -156,6 +161,8 @@ class PolynomialApplier:
         tables = [iset.neighbor_ordinals(axis) for axis in range(1, N + 1)]
         self._down = [down for down, _ in tables]
         self._up = [up for _, up in tables]
+        self._shift = [_constant_shift(down, iset.indices[:, a])
+                       for a, down in enumerate(self._down)]
         self._tables = {}
         self._plans = {}
 
@@ -259,8 +266,17 @@ class PolynomialApplier:
     def _times_x(self, a, c, src, out, tmp) -> None:
         """out = c * src[down] + (c * src)[up] on axis index ``a``.
 
-        ``src``, the table ``c`` and the scratch ``tmp`` are padded.
+        ``src``, the table ``c`` and the scratch ``tmp`` are padded.  On an
+        axis whose down neighbors sit a constant s rows back, the gathers
+        are slices.
         """
+        n, s = self.size, self._shift[a]
+        if s:
+            out[:s] = 0.0
+            np.multiply(c[s:n], src[:n - s], out=out[s:])
+            np.multiply(c[s:n], src[s:n], out=tmp[:n - s])
+            out[:n - s] += tmp[:n - s]
+            return
         np.multiply(c, src, out=tmp)
         np.multiply(src[self._down[a]], c[:-1], out=out)
         out += tmp[self._up[a]]
@@ -337,6 +353,14 @@ class PolynomialApplier:
             np.multiply(d2[a], pad, out=tmp)
             out += tmp[up2[a]]
         return out
+
+
+def _constant_shift(down: np.ndarray, digits: np.ndarray) -> int:
+    """s if down[p] == p - s where digits[p] >= 1 and -1 elsewhere, else 0."""
+    first = int(np.argmax(digits > 0))
+    s = first - int(down[first])
+    want = np.where(digits > 0, np.arange(-s, down.size - s), -1)
+    return s if 0 < s <= first and np.array_equal(down, want) else 0
 
 
 _APPLIERS = weakref.WeakKeyDictionary()

@@ -108,8 +108,8 @@ def _quadrature_assembly(iset: IndexSet, approx: ChebApprox,
     degrees = approx.degrees
     coeffs = approx.coeffs
     # per-degree node weights omega * T_r(xi / L)
-    wt = {int(d): rule.modified_weights * tch[int(d)]
-          for d in np.unique(degrees)} if coeffs.size else {}
+    wt = {d: rule.modified_weights * tch[d]
+          for d in set(degrees.ravel().tolist())}
     phi_set = [np.ascontiguousarray(phi[idx[:, l], :]) for l in range(N)]
     out = np.zeros((n, n), dtype=np.float64)
     if coeffs.size == 0:

@@ -136,11 +136,24 @@ class IndexSet:
         Built on each call; the arrays are read-only.  As gather indices into
         a (size + 1) vector whose last slot is zero, -1 reads that zero.  Only
         the down table is searched: j + e_axis is a member exactly when j is
-        the down neighbor of a member, so the up table is its inverse.
+        the down neighbor of a member, so the up table is its inverse.  On a
+        one-level set the down key is the row's key minus (K+1)**(N - axis),
+        which is the down ordinal itself when the keys are 0 .. size - 1 (a
+        cube, or a lexicographic initial segment of one).
         """
         _check_axis(axis, self.dim)
-        down = self.locate(self.indices
-                           - np.eye(self.dim, dtype=np.int64)[axis - 1])
+        if len(self._levels) > 1:
+            down = self.locate(self.indices
+                               - np.eye(self.dim, dtype=np.int64)[axis - 1])
+        else:
+            keys = self._levels[0][2]
+            down = keys - (self.bound + 1) ** (self.dim - axis)
+            if keys[-1] != self.size - 1:
+                # a smaller key never lands past its own row
+                want, down = down, np.searchsorted(keys, down)
+                down[keys[down] != want] = -1
+            # below a zero digit the key borrows from the digits before it
+            down[self.indices[:, axis - 1] == 0] = -1
         has = down >= 0
         up = np.full_like(down, -1)
         up[down[has]] = np.flatnonzero(has)
@@ -218,7 +231,8 @@ def from_indices(indices: Iterable[Sequence[int]]) -> IndexSet:
     if negative.any():
         raise ValueError(f"index {tuple(arr[np.argmax(negative)].tolist())} "
                          "has a negative component")
-    iset = IndexSet(np.unique(arr, axis=0))
+    arr = arr[np.lexsort(arr.T[::-1])]      # np.unique imports numpy.ma
+    iset = IndexSet(arr[np.append(True, (arr[1:] != arr[:-1]).any(axis=1))])
     arr = iset.indices
     missing = (arr > 0) & np.column_stack(
         [iset.neighbor_ordinals(a)[0] < 0 for a in range(1, dim + 1)])

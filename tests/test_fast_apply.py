@@ -151,20 +151,29 @@ def test_chebyshev_of_coordinate_matches_matrix_recurrence(deg, rng):
 # -- whole-surrogate application ----------------------------------------------
 
 
-@pytest.mark.parametrize("dim,bound,degree,potential", [
+# not downward closed: on axis 2 the one present down neighbor, of (3, 1),
+# is one row back, but (0, 2) and (1, 1) have none
+NOT_CLOSED = IndexSet(np.array([[0, 2], [1, 1], [3, 0], [3, 1]]))
+
+
+@pytest.mark.parametrize("dim,members,degree,potential", [
     (1, 16, 7, torsional),
     (2, 12, 5, torsional),
     (2, 12, 5, henon_heiles_perturbed),
     (3, 8, 3, henon_heiles_perturbed),
     (3, 10, 6, gaussian_well_spec),
+    pytest.param(3, build_full(3, 5), 4, gaussian_well_spec, id="cube3d-K5"),
+    pytest.param(2, NOT_CLOSED, 3, henon_heiles_perturbed, id="not-closed"),
 ])
 # the operator identity holds whatever the quadrature margin
 @pytest.mark.filterwarnings("ignore:surrogate degree:UserWarning")
-def test_fast_algorithm_matches_ordered_dense_product(dim, bound, degree,
+def test_fast_algorithm_matches_ordered_dense_product(dim, members, degree,
                                                       potential, rng):
     # the 1-D surrogate never enters the walk; the well's mixed terms reach
-    # the last-applied axis through it
-    iset = build_hyperbolic(dim, bound)
+    # the last-applied axis through it.  ``members`` is a hyperbolic cross's
+    # bound or the set itself; the cube sweeps every axis by slices
+    iset = members if isinstance(members, IndexSet) \
+        else build_hyperbolic(dim, members)
     spec = smooth_remainder(potential(dim))
     approx = interpolate(spec, degree, time=0.4)
     v = CoeffVector(iset, rng.standard_normal(iset.size)
@@ -192,6 +201,46 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
             got = appl.apply_polynomial(approx, v, axis_order=order)
             want = per_term_surrogate(iset, approx, v, order)
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("iset", [build_full(3, 12), build_hyperbolic(3, 40)],
+                         ids=["cube3d-K12", "cross3d-K40"])
+def test_slice_route_equals_gather_route(iset, rng):
+    # the cube sweeps every axis by slices, the cross its last axis only;
+    # an applier with its shifts cleared gathers on every axis
+    approx = interpolate(gaussian_well_spec(3), 8, time=0.7)
+    slices = PolynomialApplier(iset)
+    gathers = PolynomialApplier(iset)
+    gathers._shift = [0] * iset.dim
+    assert any(slices._shift)
+    re, im = rng.standard_normal((2, iset.size))
+    for v in (re, re + 1j * im):
+        for order in (None, (1, 2, 3)):
+            assert np.array_equal(slices.apply_polynomial(approx, v, order),
+                                  gathers.apply_polynomial(approx, v, order))
+
+
+def test_constant_shifts_are_read_off_the_down_tables(monkeypatch):
+    # row j - e_a is (K+1)**(N-a) rows back on a cube, and on a cross only
+    # the last axis keeps a constant shift; the set that is not downward
+    # closed has none, though its one present neighbor on axis 2 is 1 back
+    assert PolynomialApplier(build_full(3, 12))._shift == [169, 13, 1]
+    for dim, bound in ((2, 12), (3, 40), (6, 80)):
+        shifts = PolynomialApplier(build_hyperbolic(dim, bound))._shift
+        assert shifts == [0] * (dim - 1) + [1]
+    assert PolynomialApplier(NOT_CLOSED)._shift == [0, 0]
+    # the check reads the tables the applier holds: a dropped coupling
+    # sends its axis back to gathers
+    tables = IndexSet.neighbor_ordinals
+
+    def corrupted(iset, axis):
+        down, up = (t.copy() for t in tables(iset, axis))
+        if axis == 1:
+            up[down[60]], down[60] = -1, -1
+        return down, up
+
+    monkeypatch.setattr(IndexSet, "neighbor_ordinals", corrupted)
+    assert PolynomialApplier(build_full(2, 10))._shift == [0, 1]
 
 
 def test_one_apply_allocates_no_block_per_degree(rng):

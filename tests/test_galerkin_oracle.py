@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hprop
 from hprop import (
     CoeffVector,
     assemble_coordinate,
@@ -146,3 +151,25 @@ def test_diagonalization_residuals_small():
     assert diag_res < 1e-10
     with pytest.raises(ValueError, match="exceeds the cap"):
         verify_diagonalization(120, 2)
+
+
+def test_oracle_and_from_indices_leave_numpy_ma_unimported():
+    # np.unique's first call in a process imports numpy.ma, about 1 MB of
+    # resident memory; a fresh interpreter shows whether anything calls it
+    script = "; ".join([
+        "import sys",
+        "import numpy as np",
+        "from hprop import OracleHamiltonian, build_hyperbolic, "
+        "from_indices, henon_heiles_perturbed",
+        "iset = build_hyperbolic(2, 40)",
+        "matvec = OracleHamiltonian(iset, henon_heiles_perturbed(2), 3)"
+        ".matvec_at(0.0)",
+        "matvec(np.ones(iset.size))",
+        "from_indices([(1, 0), (0, 0), (0, 1), (0, 0)])",
+        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(hprop.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -175,6 +175,9 @@ def test_neighbor_ordinals_match_scalar_walks():
         build_hyperbolic(12, 40),
         # not downward closed: up tables still hold for arbitrary rows
         IndexSet(np.array([[0, 2], [1, 1], [3, 0], [3, 1]])),
+        # keys 0 .. 49, read as ordinals, yet not a cube
+        IndexSet(build_full(3, 4).indices[:50]),
+        build_full(3, 12),
     ]
     for iset in sets:
         for axis in range(1, iset.dim + 1):
