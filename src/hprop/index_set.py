@@ -77,9 +77,11 @@ class IndexSet:
             if np.any(step <= 0 if hi == dim else step < 0):
                 raise ValueError("indices must be distinct and in canonical "
                                  "(lexicographic) order")
-            new = np.concatenate(([True], step > 0))
-            levels.append((lo, hi, keys[new]))
-            rank, distinct, lo = np.cumsum(new) - 1, levels[-1][2].size, hi
+            if hi < dim:        # on the last level every key is new
+                new = np.concatenate(([True], step > 0))
+                keys, rank = keys[new], np.cumsum(new) - 1
+            levels.append((lo, hi, keys))
+            distinct, lo = keys.size, hi
         indices.setflags(write=False)
         self.dim = dim
         self.bound = bound
@@ -191,8 +193,11 @@ def build_full(dim: int, bound: int) -> IndexSet:
     """Full cube {k : 0 <= k_l <= bound}, size (bound+1)**dim."""
     _check_dim_bound(dim, bound)
     check_size((bound + 1) ** dim, "full-cube members")
-    cube = np.indices((bound + 1,) * dim, dtype=np.int64)
-    return IndexSet(cube.reshape(dim, -1).T)
+    n = bound + 1
+    cube = np.empty((n,) * dim + (dim,), dtype=np.int64)
+    for a in range(dim):
+        cube[..., a] = np.arange(n).reshape((n,) + (1,) * (dim - 1 - a))
+    return IndexSet(cube.reshape(-1, dim))
 
 
 def build_hyperbolic(dim: int, bound: int) -> IndexSet:

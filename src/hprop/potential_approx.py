@@ -10,14 +10,10 @@ x_i = L * cos(pi (2i + 1) / (2R + 2)) per axis, where R is the maximal
 per-axis degree.  A potential declared as a sum of products of univariate
 factors (``products``, as every bundled one is) is interpolated factor by
 factor on the R+1 nodes of one axis, so no (R+1)**dim grid is built; any
-other is evaluated on the full tensor grid.  Both routes drop coefficients
-below 1e-14 times the largest magnitude.  Time enters through the potential
-alone; a time-dependent problem simply re-interpolates at every requested t.
-
-Evaluators must be pointwise: each output row depends only on its own
-input row.  The tensor route calls one several times per instant, on
-consecutive blocks of the (R+1)**dim grid of at most ``GRID_BLOCK`` points,
-and the points may arrive in any memory layout.
+other is evaluated on the full tensor grid in one call.  Both routes drop
+coefficients below 1e-14 times the largest magnitude.  Time enters through
+the potential alone; a time-dependent problem simply re-interpolates at
+every requested t.
 
 A spec holds the smooth part W that its surrogate interpolates and declares
 the quadratic confinement q * sum_l x_l**2 apart from it, since operator
@@ -42,7 +38,6 @@ from numpy.polynomial.chebyshev import chebvander
 from .index_set import check_size
 
 DROP_THRESHOLD = 1e-14
-GRID_BLOCK = 8192           # grid points per evaluator call in interpolate
 _CUBE_SLACK = 1e-12
 _VALIDATION_SEED = 0
 
@@ -56,9 +51,7 @@ class PotentialSpec:
     """A potential V(x, t) = W(x, t) + q * sum_l x_l**2 on [-L, L]**dim.
 
     ``evaluator`` maps (points, t) -> values of the smooth part W, with
-    points of shape (npts, dim) and scalar t.  It must be pointwise, since
-    interpolation may call it on several blocks of grid points per instant,
-    and must accept points in any memory layout.
+    points of shape (npts, dim) and scalar t.
 
     ``harmonic_part`` is the declared q.  Galerkin entries of x**2 are
     closed-form ladder products, so operator code applies q * sum x**2
@@ -199,31 +192,6 @@ def _validation_points(dim: int, halfwidth: float) -> np.ndarray:
     return rng.uniform(-halfwidth, halfwidth, size=(33 * 33, dim))
 
 
-def _grid_values(evaluator, nodes: np.ndarray, dim: int,
-                 time: float) -> np.ndarray:
-    # The tensor grid in row-major order, one block of whole trailing
-    # sub-grids (at most GRID_BLOCK points) per evaluator call.  The block
-    # is an axis-major (dim, B) buffer handed over transposed, so per-axis
-    # arithmetic runs on contiguous columns and stays cache-sized.  Every
-    # coordinate is rewritten before each call, so nothing an evaluator
-    # does to its argument reaches the next block.
-    n = nodes.shape[0]
-    inner = 0
-    while inner < dim and n ** (inner + 1) <= GRID_BLOCK:
-        inner += 1
-    outer, size = dim - inner, n ** inner
-    block = np.empty((dim, size), dtype=np.float64)
-    sub = block[outer:].reshape((inner,) + (n,) * inner)
-    vals = np.empty(n ** dim, dtype=np.float64)
-    for b, lead in enumerate(np.ndindex((n,) * outer)):
-        block[:outer] = nodes[list(lead), None]
-        for j in range(inner):
-            sub[j] = nodes.reshape((n,) + (1,) * (inner - 1 - j))
-        out = np.asarray(evaluator(block.T, time), dtype=np.float64)
-        vals[b * size:(b + 1) * size] = out.reshape(size)
-    return vals
-
-
 def _finite(vals: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("potential evaluated to a non-finite value on the "
@@ -268,8 +236,9 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
     orthogonality of the node family, applied axis by axis.  A spec with
     ``products`` evaluates each distinct factor on the R+1 nodes of one axis
     and takes each product's (R+1)**len(p) coefficients as an outer
-    product; any other is evaluated on the whole (R+1)**dim grid.  Those
-    sizes and the (R+1)**2 cosine matrix are checked before any evaluation.
+    product; any other is evaluated on the whole (R+1)**dim grid in one
+    call.  Those sizes and the (R+1)**2 cosine matrix are checked before any
+    evaluation.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
@@ -288,8 +257,12 @@ def interpolate(spec: PotentialSpec, degree: int, time: float = 0.0) -> ChebAppr
         mask = _significant(coeffs)
         degrees = degrees[mask]
     else:
-        vals = _grid_values(spec.evaluator, nodes, N, time)
-        coeffs = _finite(vals).reshape((n,) * N)
+        # axis-major, so per-axis arithmetic runs on contiguous columns
+        grid = np.empty((N,) + (n,) * N)
+        for a in range(N):
+            grid[a] = nodes.reshape((n,) + (1,) * (N - 1 - a))
+        vals = spec.evaluator(grid.reshape(N, -1).T, time)
+        coeffs = _finite(np.asarray(vals, float)).reshape((n,) * N)
         for _ in range(N):
             coeffs = np.tensordot(coeffs, C, axes=([0], [1]))
         mask = _significant(coeffs)

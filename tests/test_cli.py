@@ -149,7 +149,7 @@ def test_surrogate_is_interpolated_once_per_command(argv, capsys,
 
 
 def test_bench_data_columns_are_stable_across_runs(tmp_path, capsys):
-    args = ["bench", "--kmax", "6", "--degree", "3", "--seed", "7"]
+    args = ["bench", "--kmax", "6", "--degree", "3"]
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (pa, pb):
         assert main(args + ["--out", str(p)]) == EXIT_OK
@@ -181,6 +181,7 @@ def test_usage_errors_exit_one(capsys):
         ["propagate", "--reference-steps", "8"],
         ["propagate", "--reference-lanczos", "4"],
         ["bench", "--jobs", "0"],
+        ["bench", "--seed", "7"],
         ["rederr", "--degree", "-1"],
         ["rederr", "--halfwidth", "0"],
         ["rederr", "--halfwidth", "nan"],

@@ -1,7 +1,8 @@
 """Modules of the package use each other only through public names, only
 the CLI writes files, only the index set and the fast applier read neighbor
-tables, nothing reads the environment, and every public name has a caller
-besides the tests.
+tables, nothing reads the environment, every public name has a caller
+besides the tests, and nothing is imported but numpy and the standard
+library.
 
 A ``_``-prefixed name is private to the module or object that defines it:
 no module imports one from another hprop module, and no code reads one off
@@ -15,6 +16,7 @@ module reads the environment: every setting is an argument or a constant.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import hprop
@@ -161,6 +163,44 @@ def test_checker_flags_environment_reads(tmp_path):
         "home = os.path.expanduser('~')\n")
     assert environment_reads(probe) == [
         (2, "import getenv"), (3, "os.environ"), (3, "os.getenv")]
+
+
+def foreign_imports(path):
+    """(line, module) of every absolute import, in one file, of a top-level
+    package that is not the standard library, numpy or hprop."""
+    allowed = sys.stdlib_module_names | {"numpy", "hprop"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    offences = [f"{path.name}:{line}: {name}" for path in SOURCES
+                for line, name in foreign_imports(path)]
+    assert offences == []
+
+
+def test_checker_flags_imports_outside_numpy_and_the_standard_library(
+        tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os, scipy.linalg\n"
+        "from numpy.polynomial import chebyshev\n"
+        "from . import index_set\n"
+        "from .fast_apply import get_applier\n"
+        "from pandas import DataFrame\n"
+        "import numpy as np, matplotlib.pyplot as plt\n")
+    assert foreign_imports(probe) == [
+        (2, "scipy.linalg"), (6, "pandas"), (7, "matplotlib.pyplot")]
 
 
 def used_names(source):
