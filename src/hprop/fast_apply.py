@@ -16,6 +16,9 @@ Where each row j with j_l >= 1 has j - e_l a constant s rows back and rows
 with j_l = 0 have no down neighbor, as on every axis of a cube and the last
 axis of a downward-closed set, the gathers are slices by s.  That is exact:
 a slice partner that is not a neighbor meets c_l = 0, as the padded zero.
+On any other axis along which the set is closed, the axis's fibre order
+(the rows sorted by their other components, then by j_l) puts j - e_l one
+row back, so slices with s = 1 apply there.
 Chebyshev polynomials of X_l / L then follow from the three-term recurrence
 on whole coefficient vectors, and a tensor surrogate
 sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
@@ -36,7 +39,12 @@ one int array mapping each term to its weight slot, and the walk's depth.
 An apply sums the coefficients into their slots with one bincount, which
 adds each slot's terms in term order, and then only sweeps and adds, in
 scratch rows allocated once per apply: three per live trie level and one
-shared temporary.
+shared temporary.  A node with no kids (every node of a separable
+surrogate), and the last axis's series when no walked term reaches that
+axis, sweep in fibre order once they make three sweeps or more: the input
+and the running sum move into that order, in one more scratch row, and the
+sum moves back.  Every entry meets the same products and adds as on the
+gather route, so the result is bitwise the same.
 
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
@@ -48,7 +56,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,16 +65,19 @@ from .potential_approx import ChebApprox
 
 
 class _Node(NamedTuple):
-    """One trie node of a compiled walk.
+    """One trie node of a compiled walk, run by ``walk(applier, node, ...)``.
 
     A node off the last axis sweeps T_1 .. T_top of its axis in the three
     scratch rows of its ``level``: the terms finishing at T_k sum into
     weight ``slot + k``, ``kids[k - 1]`` (or None) walks the terms going on
     from T_k, and ``zero`` those with degree 0 here, from this node's input
-    once its sweep is done.  A last-axis node (``kids`` None) only adds
-    weight ``slot + k`` times its input into z[k].
+    once its sweep is done.  Its walk is ``PolynomialApplier._run``, or
+    ``_run_fibre`` for a node with no kids that sweeps in its axis's fibre
+    order.  A last-axis node (``kids`` None, walked by ``_collect``) only
+    adds weight ``slot + k`` times its input into z[k].
     """
 
+    walk: Callable
     axis: int
     top: int
     slot: int
@@ -82,7 +93,10 @@ class _Plan(NamedTuple):
     root's slots w0[0 .. top] of terms with no degree before the last axis,
     else a slot of the node where it finishes.  ``depth`` counts the sweep
     levels live at once, ``zrows`` the rows of z (0 when no walked term
-    reaches the last axis).
+    reaches the last axis), ``frows`` the fibre scratch rows (1 when a
+    node or the series sweeps in fibre order, else 0), and ``fibre`` says
+    whether the last axis's series does.  ``reads`` lists the coupling
+    tables the walk reads: a for axis index a, N + a for its fibre order.
     """
 
     degrees: np.ndarray
@@ -92,15 +106,27 @@ class _Plan(NamedTuple):
     zrows: int
     depth: int
     root: _Node | None
+    frows: int
+    fibre: bool
+    reads: tuple[int, ...]
 
 
-def _compile(degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
-    """Group the terms of ``degrees`` into the trie walked in ``order``."""
+def _compile(degrees: np.ndarray, order: tuple[int, ...],
+             fibres: tuple[bool, ...], cls) -> _Plan:
+    """Group the terms of ``degrees`` into the trie walked in ``order``.
+
+    The nodes are walked by the methods of ``cls``, the applier class, and
+    ``fibres[a]`` says whether axis index a has a fibre order.  A node with
+    no kid on such an axis sweeps in it, and so does the last axis's series
+    when no walked term reaches that axis, once they make three sweeps or
+    more: moving vectors into that order and back costs about the gathers
+    that two sweeps save.
+    """
     degs = degrees[:, [a - 1 for a in order]]
     last, walked = degs[:, -1], degs[:, :-1].any(axis=1)
     top = int(last.max())
     slot = last.copy()
-    nslots, depth = top + 1, 1
+    nslots, depth, N, reads = top + 1, 1, len(order), set()
 
     def node(terms, col, level):
         nonlocal nslots, depth
@@ -109,7 +135,8 @@ def _compile(degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
         nslots += top
         if col == len(order) - 1:
             slot[terms] = base + deg
-            return _Node(order[col] - 1, top, base, level, None, None)
+            return _Node(cls._collect, order[col] - 1, top, base, level,
+                         None, None)
         depth = max(depth, level + 1)
         # a term finishing here has degree >= 1 on this axis: the root gets
         # only walked terms, and a child only terms its parent left open
@@ -122,13 +149,25 @@ def _compile(degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
                 kids[k - 1] = node(group, col + 1, level + 1)
             else:
                 zero = node(group, col + 1, level)
-        return _Node(order[col] - 1, top, base, level, tuple(kids), zero)
+        a = order[col] - 1
+        if fibres[a] and top > 2 and not any(kids):
+            reads.add(N + a)
+            walk = cls._run_fibre
+        else:
+            reads.add(a)
+            walk = cls._run
+        return _Node(walk, a, top, base, level, tuple(kids), zero)
 
     root = node(np.flatnonzero(walked), 0, 0) if walked.any() else None
     zrows = (top + 1) * bool(last[walked].any())
+    a = order[-1] - 1
+    fibre = not zrows and fibres[a] and top > 2
+    if top:
+        reads.add(N + a if fibre else a)
     degrees = degrees.copy()
     degrees.flags.writeable = slot.flags.writeable = False
-    return _Plan(degrees, slot, nslots, top, zrows, depth, root)
+    return _Plan(degrees, slot, nslots, top, zrows, depth, root,
+                 int(max(reads, default=0) >= N), fibre, tuple(sorted(reads)))
 
 
 class PolynomialApplier:
@@ -140,7 +179,10 @@ class PolynomialApplier:
     in slot n, built on first use in the vector's dtype with the sweep
     factor 2 / L folded in and cached per (dtype, factor); the x**2 ladder
     and the oscillator diagonal are typed the same way.  Each axis's
-    constant down shift, if any, is read once off the tables it holds.
+    constant down shift, if any, is read once off the tables it holds, and
+    each other axis along which the set is closed gets its fibre order, as
+    each row's position in it.  Coupling tables are cached one per axis and
+    order, built when a plan first reads them.
 
     It also keeps one compiled plan per axis order, keyed by the full
     degree array it was compiled from.  A run whose surrogate keeps its
@@ -158,11 +200,15 @@ class PolynomialApplier:
         N = iset.dim
         self._iset = weakref.ref(iset)
         self.size, self.dim, self.indices = iset.size, N, iset.indices
+        self._bound = iset.bound
         tables = [iset.neighbor_ordinals(axis) for axis in range(1, N + 1)]
         self._down = [down for down, _ in tables]
         self._up = [up for _, up in tables]
         self._shift = [_constant_shift(down, iset.indices[:, a])
                        for a, down in enumerate(self._down)]
+        self._fibre = [None if s else _fibre_order(down, iset.indices[:, a])
+                       for a, (down, s) in enumerate(zip(self._down,
+                                                         self._shift))]
         self._tables = {}
         self._plans = {}
 
@@ -178,12 +224,13 @@ class PolynomialApplier:
             table = self._tables[key] = build()
         return table
 
-    def _per_axis(self, coupling, dtype):
-        """coupling(k_a) on every axis, as padded ``dtype`` tables."""
-        out = np.zeros((self.dim, self.size + 1), dtype=dtype)
-        for a, row in enumerate(out):
-            row[:-1] = coupling(self.indices[:, a].astype(np.float64))
-        return list(out)
+    def _axis_table(self, coupling, a, dtype, fibre=False):
+        """coupling(k_a) as a padded ``dtype`` table, in the set's order or
+        in axis index a's fibre order; evaluated once per digit value."""
+        out = np.zeros(self.size + 1, dtype=dtype)
+        out[self._fibre[a] if fibre else slice(-1)] = coupling(
+            np.arange(self._bound + 1.0))[self.indices[:, a]]
+        return out
 
     def _diagonal(self, dtype):
         """The oscillator diagonal sum_l (j_l + 1/2), in ``dtype``."""
@@ -194,8 +241,24 @@ class PolynomialApplier:
         """The compiled walk of ``degrees`` in ``order``, cached per order."""
         plan = self._plans.get(order)
         if plan is None or not np.array_equal(plan.degrees, degrees):
-            plan = self._plans[order] = _compile(degrees, order)
+            plan = self._plans[order] = _compile(
+                degrees, order, tuple(p is not None for p in self._fibre),
+                type(self))
         return plan
+
+    def _coupling(self, dtype, factor, reads):
+        """The padded tables of 2 scale X listed in ``reads``, by index: a
+        for axis index a, N + a for its fibre order; None elsewhere.  Each
+        table is cached on its own, so the plans that read it share it."""
+        def build():
+            tables = [None] * (2 * self.dim)
+            for t in reads:
+                tables[t] = self._table(("x", dtype, factor, t), lambda: (
+                    self._axis_table(lambda k: np.sqrt(k / 2.0) * factor,
+                                     t % self.dim, dtype, t >= self.dim)))
+            return tables
+
+        return self._table(("x", dtype, factor, reads), build)
 
     # -- full surrogate ---------------------------------------------------------
 
@@ -228,27 +291,31 @@ class PolynomialApplier:
         # each slot sums its terms in term order, as bincount always does
         w = np.bincount(plan.slot, approx.coeffs,
                         minlength=plan.nslots).tolist()
-        # one block: three sweep rows per level, one temporary, z, and last
-        # the padded input
-        rows = list(np.zeros((3 * plan.depth + 2 + plan.zrows, n + 1),
-                             dtype=dtype))
+        # one block: three sweep rows per level, one temporary, z, the
+        # fibre rows, and last the padded input
+        rows = list(np.zeros((3 * plan.depth + 2 + plan.zrows + plan.frows,
+                              n + 1), dtype=dtype))
         u = rows.pop()
         u[:n] = v
         # every sweep multiplies by 2 scale X; T_1 and the last Clenshaw
         # step halve once
-        factor = 2.0 / approx.halfwidth
-        coupling = self._table(("x", dtype, factor), lambda: self._per_axis(
-            lambda k: np.sqrt(k / 2.0) * factor, dtype))
-        tmp, z = rows[3 * plan.depth], rows[3 * plan.depth + 1:]
+        coupling = self._coupling(dtype, 2.0 / approx.halfwidth, plan.reads)
+        tmp = rows[3 * plan.depth]
+        z = rows[3 * plan.depth + 1:3 * plan.depth + 1 + plan.zrows]
         if plan.root is not None:
-            self._run(plan.root, u, w, coupling, rows, tmp, z, acc)
+            plan.root.walk(self, plan.root, u, w, coupling, rows, tmp, z, acc)
         # b_k = c_k + 2 scale X b_{k+1} - b_{k+2} (b_{top+1} = b_{top+2} = 0)
         # in row k % 3; the sum c_0 + scale X b_1 - b_2 lands in row 0
         top, a = plan.top, order[-1] - 1
+        times, c = self._times_x, coupling[a]
+        if plan.fibre:      # no z: the series sums u alone, in fibre order
+            c, u = coupling[N + a], rows[-1]
+            u[self._fibre[a]] = v
+            times = lambda a, c, src, out, tmp: _slide(1, c, src, out, tmp)
         for k in range(top, -1, -1):
             b = rows[k % 3]
             if k < top:
-                self._times_x(a, coupling[a], rows[(k + 1) % 3], b[:n], tmp)
+                times(a, c, rows[(k + 1) % 3], b[:n], tmp)
                 if not k:
                     b *= 0.5
             else:
@@ -260,7 +327,7 @@ class PolynomialApplier:
                 b += tmp
             if plan.zrows:
                 b += z[k]
-        acc += rows[0][:n]
+        acc += rows[0][:n][self._fibre[a]] if plan.fibre else rows[0][:n]
         return acc
 
     def _times_x(self, a, c, src, out, tmp) -> None:
@@ -270,31 +337,31 @@ class PolynomialApplier:
         axis whose down neighbors sit a constant s rows back, the gathers
         are slices.
         """
-        n, s = self.size, self._shift[a]
+        s = self._shift[a]
         if s:
-            out[:s] = 0.0
-            np.multiply(c[s:n], src[:n - s], out=out[s:])
-            np.multiply(c[s:n], src[s:n], out=tmp[:n - s])
-            out[:n - s] += tmp[:n - s]
-            return
+            return _slide(s, c, src, out, tmp)
         np.multiply(c, src, out=tmp)
         np.multiply(src[self._down[a]], c[:-1], out=out)
         out += tmp[self._up[a]]
+
+    def _collect(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
+        """A last-axis node: add weight ``slot + k`` times ``src`` to z[k]."""
+        slot = node.slot
+        for k in range(1, node.top + 1):
+            if w[slot + k] != 0.0:
+                np.multiply(src, w[slot + k], out=tmp)
+                z[k] += tmp
 
     def _run(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
         """Add the terms under ``node``, applied to the padded ``src``.
 
         ``w`` holds the weights by slot, ``coupling`` the tables of
-        2 scale X per axis, ``rows`` the padded scratch rows (slot n stays
-        zero), ``tmp`` the shared temporary and ``z`` the last-axis sums.
+        2 scale X per axis (then the fibre-ordered ones), ``rows`` the
+        padded scratch rows (slot n stays zero; the last is the fibre row
+        when the plan has one), ``tmp`` the shared temporary and ``z`` the
+        last-axis sums.
         """
         n, slot = self.size, node.slot
-        if node.kids is None:
-            for k in range(1, node.top + 1):
-                if w[slot + k] != 0.0:
-                    np.multiply(src, w[slot + k], out=tmp)
-                    z[k] += tmp
-            return
         a, base = node.axis, 3 * node.level
         prev, cur = None, src
         for k in range(1, node.top + 1):
@@ -310,12 +377,43 @@ class PolynomialApplier:
             if w[slot + k] != 0.0:
                 np.multiply(cur, w[slot + k], out=tmp)
                 acc += tmp[:n]
-            if node.kids[k - 1] is not None:
-                self._run(node.kids[k - 1], cur, w, coupling, rows, tmp, z,
-                          acc)
+            kid = node.kids[k - 1]
+            if kid is not None:
+                kid.walk(self, kid, cur, w, coupling, rows, tmp, z, acc)
         # the degree-0 group sees src itself, and this level's rows are free
         if node.zero is not None:
-            self._run(node.zero, src, w, coupling, rows, tmp, z, acc)
+            node.zero.walk(self, node.zero, src, w, coupling, rows, tmp, z,
+                           acc)
+
+    def _run_fibre(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
+        """``_run`` for a node with no kids, in its axis's fibre order.
+
+        Row j - e_a is one row back there, so each sweep is slices.  The
+        input moves into the level row that T_1 and T_2 leave free and
+        ``acc`` into the fibre row, and ``acc`` moves back once: each entry
+        meets the same products and adds as on the gather route.
+        """
+        n, slot = self.size, node.slot
+        a, base = node.axis, 3 * node.level
+        pos, c = self._fibre[a], coupling[self.dim + a]
+        prev, cur, total = None, rows[base + 2], rows[-1][:n]
+        cur[pos] = src[:n]
+        total[pos] = acc
+        for k in range(1, node.top + 1):
+            nxt = rows[base + (k - 1) % 3]
+            _slide(1, c, cur, nxt[:n], tmp)
+            if k > 1:
+                nxt -= prev
+            else:
+                nxt *= 0.5
+            prev, cur = cur, nxt
+            if w[slot + k] != 0.0:
+                np.multiply(cur, w[slot + k], out=tmp)
+                total += tmp[:n]
+        acc[:] = total[pos]
+        if node.zero is not None:
+            node.zero.walk(self, node.zero, src, w, coupling, rows, tmp, z,
+                           acc)
 
     def apply_hamiltonian(self, approx: ChebApprox, v: np.ndarray) -> np.ndarray:
         out = self.apply_polynomial(approx, v)
@@ -338,21 +436,60 @@ class PolynomialApplier:
         n = self.size
         dtype = np.result_type(v.dtype, np.float64)
         # downward closure puts j + e_l in the set whenever j + 2 e_l is,
-        # so the two-step tables compose from the one-step ones
+        # so the two-step tables compose from the one-step ones; on an axis
+        # with a constant shift s the partners are 2 s rows away instead
         down2, up2 = self._table("x**2 ordinals", lambda: (
-            [np.append(d, -1)[d] for d in self._down],
-            [np.append(u, -1)[u] for u in self._up]))
-        d2 = self._table(("x**2", dtype), lambda: self._per_axis(
-            lambda k: np.sqrt(k * (k - 1.0)) / 2.0, dtype))
+            [None if s else np.append(d, -1)[d]
+             for d, s in zip(self._down, self._shift)],
+            [None if s else np.append(u, -1)[u]
+             for u, s in zip(self._up, self._shift)]))
+        d2 = self._table(("x**2", dtype), lambda: [
+            self._axis_table(lambda k: np.sqrt(k * (k - 1.0)) / 2.0, a, dtype)
+            for a in range(self.dim)])
         pad = np.zeros(n + 1, dtype=dtype)
         pad[:n] = v
         tmp = np.empty(n + 1, dtype=dtype)
         out = self._diagonal(dtype) * v    # sum_l (j_l + 1/2): the diagonal
-        for a in range(self.dim):
-            out += d2[a][:-1] * pad[down2[a]]
-            np.multiply(d2[a], pad, out=tmp)
-            out += tmp[up2[a]]
+        for a, s in enumerate(self._shift):
+            if not s:
+                out += d2[a][:-1] * pad[down2[a]]
+                np.multiply(d2[a], pad, out=tmp)
+                out += tmp[up2[a]]
+            elif 2 * s < n:     # else no row has j_a >= 2
+                m = n - 2 * s
+                np.multiply(d2[a][2 * s:n], pad[:m], out=tmp[:m])
+                out[2 * s:] += tmp[:m]
+                np.multiply(d2[a][2 * s:n], pad[2 * s:n], out=tmp[:m])
+                out[:m] += tmp[:m]
         return out
+
+
+def _slide(s, c, src, out, tmp) -> None:
+    """out = c * src[down] + (c * src)[up] where down is s rows back."""
+    n = out.size
+    out[:s] = 0.0
+    np.multiply(c[s:n], src[:n - s], out=out[s:])
+    np.multiply(c[s:n], src[s:n], out=tmp[:n - s])
+    out[:n - s] += tmp[:n - s]
+
+
+def _fibre_order(down: np.ndarray, digits: np.ndarray) -> np.ndarray | None:
+    """Each row's position once the rows are sorted by their other digits
+    and then by ``digits``; None unless every row with digit >= 1 has its
+    down neighbor.
+
+    A fibre (the rows that differ in this digit only) is then 0 .. m in
+    order, so its base row, found by pointer doubling on ``down``, and the
+    fibre sizes place every row without a sort.
+    """
+    has = down >= 0
+    if not np.array_equal(has, digits > 0):
+        return None
+    base = np.where(has, down, np.arange(down.size))
+    for _ in range(int(digits.max()).bit_length()):
+        base = base[base]
+    count = np.bincount(base, minlength=down.size)
+    return (np.cumsum(count) - count)[base] + digits
 
 
 def _constant_shift(down: np.ndarray, digits: np.ndarray) -> int:

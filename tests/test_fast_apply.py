@@ -24,6 +24,7 @@ from hprop import (
     build_hyperbolic,
     custom_potential,
     fast_algorithm,
+    from_indices,
     gauss_hermite_rule,
     get_applier,
     henon_heiles_perturbed,
@@ -31,6 +32,7 @@ from hprop import (
     smooth_remainder,
     square_sum_apply,
     torsional,
+    torsional_minus_harmonic,
 )
 from hprop import fast_apply
 
@@ -203,21 +205,128 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
+def gather_only(iset):
+    """An applier with its shifts and fibre orders cleared: every sweep and
+    every x**2 partner gathers."""
+    appl = PolynomialApplier(iset)
+    appl._shift = [0] * iset.dim
+    appl._fibre = [None] * iset.dim
+    return appl
+
+
 @pytest.mark.parametrize("iset", [build_full(3, 12), build_hyperbolic(3, 40)],
                          ids=["cube3d-K12", "cross3d-K40"])
 def test_slice_route_equals_gather_route(iset, rng):
-    # the cube sweeps every axis by slices, the cross its last axis only;
-    # an applier with its shifts cleared gathers on every axis
+    # the cube sweeps every axis by slices, the cross its last axis only
+    # (the well's walk has no node that sweeps in a fibre order); the x**2
+    # ladder reads its partners 2 s rows away on those axes
     approx = interpolate(gaussian_well_spec(3), 8, time=0.7)
     slices = PolynomialApplier(iset)
-    gathers = PolynomialApplier(iset)
-    gathers._shift = [0] * iset.dim
+    gathers = gather_only(iset)
     assert any(slices._shift)
     re, im = rng.standard_normal((2, iset.size))
     for v in (re, re + 1j * im):
         for order in (None, (1, 2, 3)):
             assert np.array_equal(slices.apply_polynomial(approx, v, order),
                                   gathers.apply_polynomial(approx, v, order))
+        assert np.array_equal(slices.apply_square_sum(v),
+                              gathers.apply_square_sum(v))
+    # two-step ordinals are composed only for the axes that gather
+    down2, up2 = slices._tables["x**2 ordinals"]
+    for a, s in enumerate(slices._shift):
+        assert (down2[a] is None) == (up2[a] is None) == bool(s)
+
+
+def fibre_walks(appl, order):
+    """How many nodes of ``order``'s plan sweep in a fibre order, and
+    whether the last axis's series does."""
+    plan = appl._plans[order]
+    nodes, count = [plan.root], 0
+    while nodes:
+        node = nodes.pop()
+        if node is not None and node.kids is not None:
+            count += node.walk is PolynomialApplier._run_fibre
+            nodes += [*node.kids, node.zero]
+    return count, plan.fibre
+
+
+@pytest.mark.parametrize("dim,bound", [(2, 40), (3, 30), (4, 24), (5, 16),
+                                       (6, 16)])
+def test_fibre_route_equals_gather_route_on_separable_surrogates(dim, bound,
+                                                                 rng):
+    # a separable surrogate is all nodes with no kids: they and the last
+    # axis's series sweep by slices in fibre order, where the input and the
+    # running sum are moved, so every entry rounds as on the gather route
+    iset = build_hyperbolic(dim, bound)
+    fibres = PolynomialApplier(iset)
+    gathers = gather_only(iset)
+    gathers._shift = list(fibres._shift)
+    re, im = rng.standard_normal((2, iset.size))
+    remainder = smooth_remainder(torsional_minus_harmonic(dim))
+    for spec in (torsional(dim), remainder):
+        approx = interpolate(spec, 8, time=0.3)
+        for order in (tuple(range(dim, 0, -1)), tuple(range(1, dim + 1))):
+            for v in (re, re + 1j * im):
+                got = fibres.apply_polynomial(approx, v, order)
+                assert same_bits(got, gathers.apply_polynomial(approx, v,
+                                                               order))
+            # every axis but the set's last sweeps in fibre order once
+            leaves, series = fibre_walks(fibres, order)
+            assert leaves + series == dim - 1
+
+
+@pytest.mark.parametrize("iset,spec,degree", [
+    pytest.param(build_hyperbolic(3, 40), gaussian_well_spec(3), 8,
+                 id="well-cross3d-K40"),
+    pytest.param(build_hyperbolic(6, 40),
+                 smooth_remainder(henon_heiles_perturbed(6)), 3,
+                 id="henon-heiles6d-K40"),
+    pytest.param(build_full(3, 10), smooth_remainder(torsional(3)), 8,
+                 id="torsional-cube3d-K10"),
+])
+def test_walks_off_the_fibre_route_are_unchanged(iset, spec, degree, rng):
+    # mixed terms leave the well no node without kids; Henon-Heiles's
+    # nodes without kids make two sweeps, too few to pay for the moves;
+    # a cube has no fibre order at all
+    approx = interpolate(spec, degree, time=0.3)
+    appl, fresh = PolynomialApplier(iset), PolynomialApplier(iset)
+    fresh._fibre = [None] * iset.dim
+    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
+    for order in (None, tuple(range(1, iset.dim + 1))):
+        assert same_bits(appl.apply_polynomial(approx, v, order),
+                         fresh.apply_polynomial(approx, v, order))
+        assert fibre_walks(appl, order or tuple(range(iset.dim, 0, -1))) \
+            == (0, False)
+
+
+@pytest.mark.parametrize("dim,bound", [(2, 12), (3, 40), (4, 20), (6, 80),
+                                       (8, 16), (12, 40)])
+def test_fibre_order_is_the_lexsort_with_the_axis_last(dim, bound):
+    # the rows sorted by their other components, then by this one; 12-D
+    # K = 40 is a two-level set, so its down tables come from locate
+    iset = build_hyperbolic(dim, bound)
+    appl = PolynomialApplier(iset)
+    cols = list(iset.indices.T)
+    for a, pos in enumerate(appl._fibre):
+        assert (pos is None) == (a == dim - 1)
+        if pos is not None:
+            keys = [cols[a]] + [c for b, c in enumerate(cols) if b != a][::-1]
+            assert np.array_equal(np.argsort(pos), np.lexsort(keys))
+    if dim == 12:
+        assert len(iset._levels) == 2
+
+
+def test_only_closed_axes_without_a_shift_get_a_fibre_order():
+    # every cube axis has a constant shift; the set that is not downward
+    # closed has neither; a closed set that is no cross gets one per
+    # axis but its last
+    assert PolynomialApplier(build_full(3, 12))._fibre == [None] * 3
+    assert PolynomialApplier(NOT_CLOSED)._fibre == [None, None]
+    staircase = from_indices([(i, j, k) for i in range(4) for j in range(3)
+                              for k in range(5) if i + 2 * j + k <= 6])
+    appl = PolynomialApplier(staircase)
+    assert appl._shift[:2] == [0, 0] and appl._shift[2] == 1
+    assert [pos is None for pos in appl._fibre] == [False, False, True]
 
 
 def test_constant_shifts_are_read_off_the_down_tables(monkeypatch):
@@ -268,6 +377,29 @@ def test_one_apply_allocates_no_block_per_degree(rng):
     approx = interpolate(gaussian_well_spec(3), 8, time=0.9)
     top = int(approx.degrees[:, 0].max())    # axis 1 is applied last
     assert peak_rows(approx) < 15.6 + top + 1
+
+
+def test_fibre_route_peaks_at_most_two_rows_above_the_gather_route(rng):
+    # the fibre row, and one moved-back vector in place of a gathered one
+    iset = build_hyperbolic(6, 40)
+    approx = interpolate(smooth_remainder(torsional_minus_harmonic(6)), 8,
+                         time=0.3)
+    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
+
+    def peak_rows(appl):
+        appl.apply_polynomial(approx, v)
+        tracemalloc.start()
+        try:
+            appl.apply_polynomial(approx, v)
+            return tracemalloc.get_traced_memory()[1] / (16 * (iset.size + 1))
+        finally:
+            tracemalloc.stop()
+
+    fibres = PolynomialApplier(iset)
+    gathers = PolynomialApplier(iset)
+    gathers._fibre = [None] * iset.dim
+    assert peak_rows(fibres) <= peak_rows(gathers) + 2.0
+    assert fibre_walks(fibres, tuple(range(6, 0, -1)))[0] > 0
 
 
 _LIN_SET = build_hyperbolic(2, 10)
@@ -426,9 +558,9 @@ def test_instants_of_one_degree_set_share_one_plan(monkeypatch, rng):
     # reuses the first one's plan, yet applies its own coefficients
     compiled = []
 
-    def spy(degrees, order):
+    def spy(degrees, order, *marks):
         compiled.append(order)
-        return compile_plan(degrees, order)
+        return compile_plan(degrees, order, *marks)
 
     compile_plan = fast_apply._compile
     monkeypatch.setattr(fast_apply, "_compile", spy)
