@@ -258,9 +258,8 @@ def test_fibre_route_equals_gather_route_on_separable_surrogates(dim, bound,
     # axis's series sweep by slices in fibre order, where the input and the
     # running sum are moved, so every entry rounds as on the gather route
     iset = build_hyperbolic(dim, bound)
-    fibres = PolynomialApplier(iset)
-    gathers = gather_only(iset)
-    gathers._shift = list(fibres._shift)
+    fibres, gathers = PolynomialApplier(iset), PolynomialApplier(iset)
+    gathers._fibre = [None] * dim
     re, im = rng.standard_normal((2, iset.size))
     remainder = smooth_remainder(torsional_minus_harmonic(dim))
     for spec in (torsional(dim), remainder):
