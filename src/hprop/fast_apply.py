@@ -12,13 +12,16 @@ up neighbor j + e_l, so X_l v = c_l * v[down_l] + (c_l * v)[up_l].  The
 tables are kept in the vector's dtype with the recurrence factor 2 / L
 folded in, so a sweep is two gathers, two like-typed multiplies and an add
 (when 2 / L is a power of two, as for L = 16, folding it in rounds nothing).
-Where each row j with j_l >= 1 has j - e_l a constant s rows back and rows
-with j_l = 0 have no down neighbor, as on every axis of a cube and the last
-axis of a downward-closed set, the gathers are slices by s.  That is exact:
-a slice partner that is not a neighbor meets c_l = 0, as the padded zero.
-On any other axis along which the set is closed, the axis's fibre order
-(the rows sorted by their other components, then by j_l) puts j - e_l one
-row back, so slices with s = 1 apply there.
+
+Each sweep runs in a frame: frame l - 1 is axis l in the set's order, frame
+N + l - 1 axis l in its fibre order (the rows sorted by their other
+components, then by j_l).  A frame where each row j with j_l >= 1 has
+j - e_l s rows back, and rows with j_l = 0 have no down neighbor, slides:
+its gathers are slices by s.  Every cube axis does, and so do the last axis
+of a downward-closed set and the fibre frame of any other axis along which
+the set is closed, with s = 1.  That is exact: a slice partner that is not
+a neighbor meets c_l = 0, as the padded zero.  Only the other frames gather.
+
 Chebyshev polynomials of X_l / L then follow from the three-term recurrence
 on whole coefficient vectors, and a tensor surrogate
 sum_r alpha_r prod_l T_{r_l}(X_l / L) is applied at cost
@@ -34,17 +37,17 @@ axis's largest degree; separable potentials cost one per axis, O(N R size).
 
 The trie depends on the surrogate's degree array and the axis order only,
 not on its coefficients, so it is compiled once into an immutable plan: the
-nodes (axis, top degree, weight slots, kids by degree, degree-0 kid),
-one int array mapping each term to its weight slot, and the walk's depth.
-An apply sums the coefficients into their slots with one bincount, which
-adds each slot's terms in term order, and then only sweeps and adds, in
-scratch rows allocated once per apply: three per live trie level and one
-shared temporary.  A node with no kids (every node of a separable
-surrogate), and the last axis's series when no walked term reaches that
-axis, sweep in fibre order once they make three sweeps or more: the input
-and the running sum move into that order, in one more scratch row, and the
-sum moves back.  Every entry meets the same products and adds as on the
-gather route, so the result is bitwise the same.
+nodes (frame, top degree, weight slots, kids by degree, degree-0 kid), one
+int array mapping each term to its weight slot, the walk's depth and the
+series' frame.  An apply sums the coefficients into their slots with one
+bincount, which adds each slot's terms in term order, and then only sweeps
+and adds, in scratch rows allocated once per apply: three per live trie
+level and one shared temporary.  A node with no kids (every node of a
+separable surrogate), and the last axis's series when no walked term
+reaches that axis, run in their axis's fibre frame once they make three
+sweeps or more: the input and the running sum move into that order, in one
+more scratch row, and the sum moves back.  Every entry meets the same
+products and adds as in the set's order, so the result is bitwise the same.
 
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,20 +68,17 @@ from .potential_approx import ChebApprox
 
 
 class _Node(NamedTuple):
-    """One trie node of a compiled walk, run by ``walk(applier, node, ...)``.
+    """One trie node of a compiled walk, run by ``PolynomialApplier._run``.
 
-    A node off the last axis sweeps T_1 .. T_top of its axis in the three
-    scratch rows of its ``level``: the terms finishing at T_k sum into
-    weight ``slot + k``, ``kids[k - 1]`` (or None) walks the terms going on
+    A node off the last axis sweeps T_1 .. T_top in its ``frame``, in the
+    three scratch rows of its ``level``: the terms finishing at T_k sum into
+    weight ``slot + k``, ``kids[k - 1]`` (or None) runs the terms going on
     from T_k, and ``zero`` those with degree 0 here, from this node's input
-    once its sweep is done.  Its walk is ``PolynomialApplier._run``, or
-    ``_run_fibre`` for a node with no kids that sweeps in its axis's fibre
-    order.  A last-axis node (``kids`` None, walked by ``_collect``) only
-    adds weight ``slot + k`` times its input into z[k].
+    once its sweep is done.  A last-axis node (``kids`` None) only adds
+    weight ``slot + k`` times its input into z[k].
     """
 
-    walk: Callable
-    axis: int
+    frame: int
     top: int
     slot: int
     level: int
@@ -94,9 +94,8 @@ class _Plan(NamedTuple):
     else a slot of the node where it finishes.  ``depth`` counts the sweep
     levels live at once, ``zrows`` the rows of z (0 when no walked term
     reaches the last axis), ``frows`` the fibre scratch rows (1 when a
-    node or the series sweeps in fibre order, else 0), and ``fibre`` says
-    whether the last axis's series does.  ``reads`` lists the coupling
-    tables the walk reads: a for axis index a, N + a for its fibre order.
+    node or the series runs in a fibre frame, else 0), ``series`` is the
+    frame of the last axis's series and ``reads`` lists the frames swept in.
     """
 
     degrees: np.ndarray
@@ -107,36 +106,36 @@ class _Plan(NamedTuple):
     depth: int
     root: _Node | None
     frows: int
-    fibre: bool
+    series: int
     reads: tuple[int, ...]
 
 
 def _compile(degrees: np.ndarray, order: tuple[int, ...],
-             fibres: tuple[bool, ...], cls) -> _Plan:
+             shifts: tuple[int, ...]) -> _Plan:
     """Group the terms of ``degrees`` into the trie walked in ``order``.
 
-    The nodes are walked by the methods of ``cls``, the applier class, and
-    ``fibres[a]`` says whether axis index a has a fibre order.  A node with
-    no kid on such an axis sweeps in it, and so does the last axis's series
-    when no walked term reaches that axis, once they make three sweeps or
-    more: moving vectors into that order and back costs about the gathers
-    that two sweeps save.
+    ``shifts[t]`` is frame t's slide shift, 0 where it gathers, so axis
+    index a has a fibre frame where ``shifts[N + a]`` is set.  A node with
+    no kid on such an axis runs in that frame, and so does the last axis's
+    series when no walked term reaches that axis, once they make three
+    sweeps or more: moving vectors into that order and back costs about the
+    gathers that two sweeps save.
     """
+    N = len(order)
     degs = degrees[:, [a - 1 for a in order]]
     last, walked = degs[:, -1], degs[:, :-1].any(axis=1)
     top = int(last.max())
     slot = last.copy()
-    nslots, depth, N, reads = top + 1, 1, len(order), set()
+    nslots, depth, reads = top + 1, 1, set()
 
     def node(terms, col, level):
         nonlocal nslots, depth
-        deg = degs[terms, col]
+        a, deg = order[col] - 1, degs[terms, col]
         base, top = nslots - 1, int(deg.max())
         nslots += top
-        if col == len(order) - 1:
+        if col == N - 1:
             slot[terms] = base + deg
-            return _Node(cls._collect, order[col] - 1, top, base, level,
-                         None, None)
+            return _Node(a, top, base, level, None, None)
         depth = max(depth, level + 1)
         # a term finishing here has degree >= 1 on this axis: the root gets
         # only walked terms, and a child only terms its parent left open
@@ -149,40 +148,35 @@ def _compile(degrees: np.ndarray, order: tuple[int, ...],
                 kids[k - 1] = node(group, col + 1, level + 1)
             else:
                 zero = node(group, col + 1, level)
-        a = order[col] - 1
-        if fibres[a] and top > 2 and not any(kids):
-            reads.add(N + a)
-            walk = cls._run_fibre
-        else:
-            reads.add(a)
-            walk = cls._run
-        return _Node(walk, a, top, base, level, tuple(kids), zero)
+        t = N + a if shifts[N + a] and top > 2 and not any(kids) else a
+        reads.add(t)
+        return _Node(t, top, base, level, tuple(kids), zero)
 
     root = node(np.flatnonzero(walked), 0, 0) if walked.any() else None
     zrows = (top + 1) * bool(last[walked].any())
     a = order[-1] - 1
-    fibre = not zrows and fibres[a] and top > 2
+    series = N + a if not zrows and shifts[N + a] and top > 2 else a
     if top:
-        reads.add(N + a if fibre else a)
+        reads.add(series)
     degrees = degrees.copy()
     degrees.flags.writeable = slot.flags.writeable = False
     return _Plan(degrees, slot, nslots, top, zrows, depth, root,
-                 int(max(reads, default=0) >= N), fibre, tuple(sorted(reads)))
+                 int(max(reads, default=0) >= N), series, tuple(sorted(reads)))
 
 
 class PolynomialApplier:
     """Workspace-backed applier bound to one index set.
 
-    It keeps the set's neighbor tables, the only copy: gathered vectors
-    carry a zero in an extra last slot, which an absent neighbor's -1 picks.
-    Each axis has one coupling table c_a = sqrt(k_a / 2), padded with a zero
-    in slot n, built on first use in the vector's dtype with the sweep
-    factor 2 / L folded in and cached per (dtype, factor); the x**2 ladder
-    and the oscillator diagonal are typed the same way.  Each axis's
-    constant down shift, if any, is read once off the tables it holds, and
-    each other axis along which the set is closed gets its fibre order, as
-    each row's position in it.  Coupling tables are cached one per axis and
-    order, built when a plan first reads them.
+    On construction it reads each axis's down table once: for its constant
+    shift, else, where the set is closed along the axis, for its fibre
+    order, kept as each row's position in it.  ``_shift[t]`` is frame t's
+    slide shift, 0 where it gathers.  Only the axes with no constant shift
+    keep their neighbor tables, the set's own read-only copies: gathered
+    vectors carry a zero in an extra last slot, which an absent neighbor's
+    -1 picks.  Each frame swept has one coupling table c_a = sqrt(k_a / 2),
+    padded with a zero in slot n, built on first use in the vector's dtype
+    with the sweep factor 2 / L folded in and cached per (dtype, factor);
+    the x**2 ladder and the oscillator diagonal are typed the same way.
 
     It also keeps one compiled plan per axis order, keyed by the full
     degree array it was compiled from.  A run whose surrogate keeps its
@@ -197,18 +191,19 @@ class PolynomialApplier:
     """
 
     def __init__(self, iset: IndexSet):
-        N = iset.dim
         self._iset = weakref.ref(iset)
-        self.size, self.dim, self.indices = iset.size, N, iset.indices
+        self.size, self.dim, self.indices = iset.size, iset.dim, iset.indices
         self._bound = iset.bound
-        tables = [iset.neighbor_ordinals(axis) for axis in range(1, N + 1)]
-        self._down = [down for down, _ in tables]
-        self._up = [up for _, up in tables]
-        self._shift = [_constant_shift(down, iset.indices[:, a])
-                       for a, down in enumerate(self._down)]
-        self._fibre = [None if s else _fibre_order(down, iset.indices[:, a])
-                       for a, (down, s) in enumerate(zip(self._down,
-                                                         self._shift))]
+        self._down, self._up, self._fibre, shifts = [], [], [], []
+        for a, digits in enumerate(iset.indices.T):
+            down, up = iset.neighbor_ordinals(a + 1)
+            s = _constant_shift(down, digits)
+            shifts.append(s)
+            self._fibre.append(None if s else _fibre_order(down, digits))
+            # an axis that slides in the set's order reads no table again
+            self._down.append(None if s else down)
+            self._up.append(None if s else up)
+        self._shift = shifts + [int(pos is not None) for pos in self._fibre]
         self._tables = {}
         self._plans = {}
 
@@ -224,12 +219,13 @@ class PolynomialApplier:
             table = self._tables[key] = build()
         return table
 
-    def _axis_table(self, coupling, a, dtype, fibre=False):
-        """coupling(k_a) as a padded ``dtype`` table, in the set's order or
-        in axis index a's fibre order; evaluated once per digit value."""
+    def _axis_table(self, coupling, t, dtype):
+        """coupling(k) as a padded ``dtype`` table in frame ``t``; evaluated
+        once per digit value."""
+        N = self.dim
         out = np.zeros(self.size + 1, dtype=dtype)
-        out[self._fibre[a] if fibre else slice(-1)] = coupling(
-            np.arange(self._bound + 1.0))[self.indices[:, a]]
+        out[self._fibre[t - N] if t >= N else slice(-1)] = coupling(
+            np.arange(self._bound + 1.0))[self.indices[:, t % N]]
         return out
 
     def _diagonal(self, dtype):
@@ -241,21 +237,20 @@ class PolynomialApplier:
         """The compiled walk of ``degrees`` in ``order``, cached per order."""
         plan = self._plans.get(order)
         if plan is None or not np.array_equal(plan.degrees, degrees):
-            plan = self._plans[order] = _compile(
-                degrees, order, tuple(p is not None for p in self._fibre),
-                type(self))
+            plan = self._plans[order] = _compile(degrees, order,
+                                                 tuple(self._shift))
         return plan
 
     def _coupling(self, dtype, factor, reads):
-        """The padded tables of 2 scale X listed in ``reads``, by index: a
-        for axis index a, N + a for its fibre order; None elsewhere.  Each
-        table is cached on its own, so the plans that read it share it."""
+        """The padded tables of 2 scale X in the frames listed in ``reads``,
+        by frame; None elsewhere.  Each table is cached on its own, so the
+        plans that read it share it."""
         def build():
             tables = [None] * (2 * self.dim)
             for t in reads:
                 tables[t] = self._table(("x", dtype, factor, t), lambda: (
                     self._axis_table(lambda k: np.sqrt(k / 2.0) * factor,
-                                     t % self.dim, dtype, t >= self.dim)))
+                                     t, dtype)))
             return tables
 
         return self._table(("x", dtype, factor, reads), build)
@@ -303,19 +298,17 @@ class PolynomialApplier:
         tmp = rows[3 * plan.depth]
         z = rows[3 * plan.depth + 1:3 * plan.depth + 1 + plan.zrows]
         if plan.root is not None:
-            plan.root.walk(self, plan.root, u, w, coupling, rows, tmp, z, acc)
+            self._run(plan.root, u, w, coupling, rows, tmp, z, acc)
         # b_k = c_k + 2 scale X b_{k+1} - b_{k+2} (b_{top+1} = b_{top+2} = 0)
         # in row k % 3; the sum c_0 + scale X b_1 - b_2 lands in row 0
-        top, a = plan.top, order[-1] - 1
-        times, c = self._times_x, coupling[a]
-        if plan.fibre:      # no z: the series sums u alone, in fibre order
-            c, u = coupling[N + a], rows[-1]
-            u[self._fibre[a]] = v
-            times = lambda a, c, src, out, tmp: _slide(1, c, src, out, tmp)
+        top, t, pos = plan.top, plan.series, slice(None)
+        if t >= N:      # no z: the series sums u alone, in fibre order
+            pos, u = self._fibre[t - N], rows[-1]
+            u[pos] = v
         for k in range(top, -1, -1):
             b = rows[k % 3]
             if k < top:
-                times(a, c, rows[(k + 1) % 3], b[:n], tmp)
+                self._times_x(t, coupling[t], rows[(k + 1) % 3], b[:n], tmp)
                 if not k:
                     b *= 0.5
             else:
@@ -327,81 +320,51 @@ class PolynomialApplier:
                 b += tmp
             if plan.zrows:
                 b += z[k]
-        acc += rows[0][:n][self._fibre[a]] if plan.fibre else rows[0][:n]
+        acc += rows[0][:n][pos]
         return acc
 
-    def _times_x(self, a, c, src, out, tmp) -> None:
-        """out = c * src[down] + (c * src)[up] on axis index ``a``.
+    def _times_x(self, t, c, src, out, tmp) -> None:
+        """out = c * src[down] + (c * src)[up] in frame ``t``.
 
-        ``src``, the table ``c`` and the scratch ``tmp`` are padded.  On an
-        axis whose down neighbors sit a constant s rows back, the gathers
-        are slices.
+        ``src``, the table ``c`` and the scratch ``tmp`` are padded.  A
+        frame that slides by s takes the gathers as slices.
         """
-        s = self._shift[a]
+        s = self._shift[t]
         if s:
             return _slide(s, c, src, out, tmp)
         np.multiply(c, src, out=tmp)
-        np.multiply(src[self._down[a]], c[:-1], out=out)
-        out += tmp[self._up[a]]
-
-    def _collect(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
-        """A last-axis node: add weight ``slot + k`` times ``src`` to z[k]."""
-        slot = node.slot
-        for k in range(1, node.top + 1):
-            if w[slot + k] != 0.0:
-                np.multiply(src, w[slot + k], out=tmp)
-                z[k] += tmp
+        np.multiply(src[self._down[t]], c[:-1], out=out)
+        out += tmp[self._up[t]]
 
     def _run(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
         """Add the terms under ``node``, applied to the padded ``src``.
 
         ``w`` holds the weights by slot, ``coupling`` the tables of
-        2 scale X per axis (then the fibre-ordered ones), ``rows`` the
-        padded scratch rows (slot n stays zero; the last is the fibre row
-        when the plan has one), ``tmp`` the shared temporary and ``z`` the
-        last-axis sums.
+        2 scale X by frame, ``rows`` the padded scratch rows (slot n stays
+        zero; the last is the fibre row when the plan has one), ``tmp`` the
+        shared temporary and ``z`` the last-axis sums.  In a fibre frame
+        the input moves into the level row that T_1 and T_2 leave free and
+        ``acc`` into the fibre row, and ``acc`` moves back once: each entry
+        meets the same products and adds as in the set's order.
         """
-        n, slot = self.size, node.slot
-        a, base = node.axis, 3 * node.level
-        prev, cur = None, src
+        n, slot, t = self.size, node.slot, node.frame
+        if node.kids is None:       # a last-axis node: z[k] += w * src
+            for k in range(1, node.top + 1):
+                if w[slot + k] != 0.0:
+                    np.multiply(src, w[slot + k], out=tmp)
+                    z[k] += tmp
+            return
+        base = 3 * node.level
+        prev, cur, total = None, src, acc
+        if t >= self.dim:
+            pos = self._fibre[t - self.dim]
+            cur, total = rows[base + 2], rows[-1][:n]
+            cur[pos], total[pos] = src[:n], acc
         for k in range(1, node.top + 1):
             # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X src) into
             # the level's row that holds T_{k-3}
             nxt = rows[base + (k - 1) % 3]
-            self._times_x(a, coupling[a], cur, nxt[:n], tmp)
-            if k > 1:
-                nxt -= prev
-            else:
-                nxt *= 0.5
-            prev, cur = cur, nxt
-            if w[slot + k] != 0.0:
-                np.multiply(cur, w[slot + k], out=tmp)
-                acc += tmp[:n]
-            kid = node.kids[k - 1]
-            if kid is not None:
-                kid.walk(self, kid, cur, w, coupling, rows, tmp, z, acc)
-        # the degree-0 group sees src itself, and this level's rows are free
-        if node.zero is not None:
-            node.zero.walk(self, node.zero, src, w, coupling, rows, tmp, z,
-                           acc)
-
-    def _run_fibre(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
-        """``_run`` for a node with no kids, in its axis's fibre order.
-
-        Row j - e_a is one row back there, so each sweep is slices.  The
-        input moves into the level row that T_1 and T_2 leave free and
-        ``acc`` into the fibre row, and ``acc`` moves back once: each entry
-        meets the same products and adds as on the gather route.
-        """
-        n, slot = self.size, node.slot
-        a, base = node.axis, 3 * node.level
-        pos, c = self._fibre[a], coupling[self.dim + a]
-        prev, cur, total = None, rows[base + 2], rows[-1][:n]
-        cur[pos] = src[:n]
-        total[pos] = acc
-        for k in range(1, node.top + 1):
-            nxt = rows[base + (k - 1) % 3]
-            _slide(1, c, cur, nxt[:n], tmp)
+            self._times_x(t, coupling[t], cur, nxt[:n], tmp)
             if k > 1:
                 nxt -= prev
             else:
@@ -410,10 +373,14 @@ class PolynomialApplier:
             if w[slot + k] != 0.0:
                 np.multiply(cur, w[slot + k], out=tmp)
                 total += tmp[:n]
-        acc[:] = total[pos]
+            kid = node.kids[k - 1]
+            if kid is not None:
+                self._run(kid, cur, w, coupling, rows, tmp, z, acc)
+        if total is not acc:
+            acc[:] = total[pos]
+        # the degree-0 group sees src itself, and this level's rows are free
         if node.zero is not None:
-            node.zero.walk(self, node.zero, src, w, coupling, rows, tmp, z,
-                           acc)
+            self._run(node.zero, src, w, coupling, rows, tmp, z, acc)
 
     def apply_hamiltonian(self, approx: ChebApprox, v: np.ndarray) -> np.ndarray:
         out = self.apply_polynomial(approx, v)
@@ -435,14 +402,22 @@ class PolynomialApplier:
         """
         n = self.size
         dtype = np.result_type(v.dtype, np.float64)
-        # downward closure puts j + e_l in the set whenever j + 2 e_l is,
-        # so the two-step tables compose from the one-step ones; on an axis
-        # with a constant shift s the partners are 2 s rows away instead
-        down2, up2 = self._table("x**2 ordinals", lambda: (
-            [None if s else np.append(d, -1)[d]
-             for d, s in zip(self._down, self._shift)],
-            [None if s else np.append(u, -1)[u]
-             for u, s in zip(self._up, self._shift)]))
+
+        def ordinals():
+            # closure along an axis puts j + e_l in the set whenever
+            # j + 2 e_l is, so the two-step tables compose from the one-step
+            # ones; on an axis with a constant shift s the partners are 2 s
+            # rows away instead
+            for a, s in enumerate(self._shift[:self.dim]):
+                if not s and self._fibre[a] is None:
+                    raise ValueError(f"index set is not closed along axis "
+                                     f"{a + 1}: the x**2 ladder would drop "
+                                     f"couplings")
+            return [[None if s else np.append(d, -1)[d]
+                     for d, s in zip(tables, self._shift)]
+                    for tables in (self._down, self._up)]
+
+        down2, up2 = self._table("x**2 ordinals", ordinals)
         d2 = self._table(("x**2", dtype), lambda: [
             self._axis_table(lambda k: np.sqrt(k * (k - 1.0)) / 2.0, a, dtype)
             for a in range(self.dim)])
@@ -450,7 +425,7 @@ class PolynomialApplier:
         pad[:n] = v
         tmp = np.empty(n + 1, dtype=dtype)
         out = self._diagonal(dtype) * v    # sum_l (j_l + 1/2): the diagonal
-        for a, s in enumerate(self._shift):
+        for a, s in enumerate(self._shift[:self.dim]):
             if not s:
                 out += d2[a][:-1] * pad[down2[a]]
                 np.multiply(d2[a], pad, out=tmp)

@@ -206,48 +206,69 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
 
 
 def gather_only(iset):
-    """An applier with its shifts and fibre orders cleared: every sweep and
-    every x**2 partner gathers."""
+    """An applier whose every frame gathers, through tables rebuilt from the
+    set, and that knows every axis of the closed set as closed: every sweep
+    and every x**2 partner gathers."""
     appl = PolynomialApplier(iset)
-    appl._shift = [0] * iset.dim
-    appl._fibre = [None] * iset.dim
+    tables = [iset.neighbor_ordinals(axis) for axis in range(1, iset.dim + 1)]
+    appl._down = [down for down, _ in tables]
+    appl._up = [up for _, up in tables]
+    appl._fibre = [fast_apply._fibre_order(down, iset.indices[:, a])
+                   for a, down in enumerate(appl._down)]
+    appl._shift = [0] * (2 * iset.dim)
     return appl
 
 
-@pytest.mark.parametrize("iset", [build_full(3, 12), build_hyperbolic(3, 40)],
-                         ids=["cube3d-K12", "cross3d-K40"])
-def test_slice_route_equals_gather_route(iset, rng):
-    # the cube sweeps every axis by slices, the cross its last axis only
-    # (the well's walk has no node that sweeps in a fibre order); the x**2
-    # ladder reads its partners 2 s rows away on those axes
-    approx = interpolate(gaussian_well_spec(3), 8, time=0.7)
+def without_fibres(iset):
+    """An applier whose fibre frames are switched off: the axes that have
+    one sweep by gathers in the set's order."""
+    appl = PolynomialApplier(iset)
+    appl._shift[iset.dim:] = [0] * iset.dim
+    return appl
+
+
+@pytest.mark.parametrize("iset,spec,degree", [
+    pytest.param(build_full(3, 12), gaussian_well_spec(3), 8,
+                 id="cube3d-K12"),
+    pytest.param(build_hyperbolic(3, 40), gaussian_well_spec(3), 8,
+                 id="cross3d-K40"),
+    pytest.param(build_hyperbolic(12, 40),
+                 smooth_remainder(henon_heiles_perturbed(12)), 3,
+                 id="henon-heiles12d-K40"),
+])
+def test_slice_route_equals_gather_route(iset, spec, degree, rng):
+    # the cube sweeps every axis by slices, the crosses their last axis
+    # only (neither walk has a node that runs in a fibre frame); the x**2
+    # ladder reads its partners 2 s rows away on those axes.  12-D K = 40
+    # is a two-level set, whose tables come from locate
+    approx = interpolate(spec, degree, time=0.7)
     slices = PolynomialApplier(iset)
     gathers = gather_only(iset)
-    assert any(slices._shift)
+    assert any(slices._shift[:iset.dim])
     re, im = rng.standard_normal((2, iset.size))
     for v in (re, re + 1j * im):
-        for order in (None, (1, 2, 3)):
-            assert np.array_equal(slices.apply_polynomial(approx, v, order),
-                                  gathers.apply_polynomial(approx, v, order))
-        assert np.array_equal(slices.apply_square_sum(v),
-                              gathers.apply_square_sum(v))
+        for order in (None, tuple(range(1, iset.dim + 1))):
+            assert same_bits(slices.apply_polynomial(approx, v, order),
+                             gathers.apply_polynomial(approx, v, order))
+        assert same_bits(slices.apply_square_sum(v),
+                         gathers.apply_square_sum(v))
     # two-step ordinals are composed only for the axes that gather
     down2, up2 = slices._tables["x**2 ordinals"]
-    for a, s in enumerate(slices._shift):
+    for a, s in enumerate(slices._shift[:iset.dim]):
         assert (down2[a] is None) == (up2[a] is None) == bool(s)
 
 
 def fibre_walks(appl, order):
-    """How many nodes of ``order``'s plan sweep in a fibre order, and
+    """How many nodes of ``order``'s plan run in a fibre frame, and
     whether the last axis's series does."""
-    plan = appl._plans[order]
+    plan, N = appl._plans[order], appl.dim
     nodes, count = [plan.root], 0
     while nodes:
         node = nodes.pop()
         if node is not None and node.kids is not None:
-            count += node.walk is PolynomialApplier._run_fibre
+            count += node.frame >= N
             nodes += [*node.kids, node.zero]
-    return count, plan.fibre
+    return count, plan.series >= N
 
 
 @pytest.mark.parametrize("dim,bound", [(2, 40), (3, 30), (4, 24), (5, 16),
@@ -258,8 +279,7 @@ def test_fibre_route_equals_gather_route_on_separable_surrogates(dim, bound,
     # axis's series sweep by slices in fibre order, where the input and the
     # running sum are moved, so every entry rounds as on the gather route
     iset = build_hyperbolic(dim, bound)
-    fibres, gathers = PolynomialApplier(iset), PolynomialApplier(iset)
-    gathers._fibre = [None] * dim
+    fibres, gathers = PolynomialApplier(iset), without_fibres(iset)
     re, im = rng.standard_normal((2, iset.size))
     remainder = smooth_remainder(torsional_minus_harmonic(dim))
     for spec in (torsional(dim), remainder):
@@ -288,8 +308,7 @@ def test_walks_off_the_fibre_route_are_unchanged(iset, spec, degree, rng):
     # nodes without kids make two sweeps, too few to pay for the moves;
     # a cube has no fibre order at all
     approx = interpolate(spec, degree, time=0.3)
-    appl, fresh = PolynomialApplier(iset), PolynomialApplier(iset)
-    fresh._fibre = [None] * iset.dim
+    appl, fresh = PolynomialApplier(iset), without_fibres(iset)
     v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
     for order in (None, tuple(range(1, iset.dim + 1))):
         assert same_bits(appl.apply_polynomial(approx, v, order),
@@ -324,19 +343,20 @@ def test_only_closed_axes_without_a_shift_get_a_fibre_order():
     staircase = from_indices([(i, j, k) for i in range(4) for j in range(3)
                               for k in range(5) if i + 2 * j + k <= 6])
     appl = PolynomialApplier(staircase)
-    assert appl._shift[:2] == [0, 0] and appl._shift[2] == 1
+    assert appl._shift == [0, 0, 1, 1, 1, 0]
     assert [pos is None for pos in appl._fibre] == [False, False, True]
 
 
 def test_constant_shifts_are_read_off_the_down_tables(monkeypatch):
     # row j - e_a is (K+1)**(N-a) rows back on a cube, and on a cross only
-    # the last axis keeps a constant shift; the set that is not downward
-    # closed has none, though its one present neighbor on axis 2 is 1 back
-    assert PolynomialApplier(build_full(3, 12))._shift == [169, 13, 1]
+    # the last axis keeps a constant shift, while the others slide by 1 in
+    # their fibre frames; the set that is not downward closed has neither,
+    # though its one present neighbor on axis 2 is 1 back
+    assert PolynomialApplier(build_full(3, 12))._shift == [169, 13, 1, 0, 0, 0]
     for dim, bound in ((2, 12), (3, 40), (6, 80)):
         shifts = PolynomialApplier(build_hyperbolic(dim, bound))._shift
-        assert shifts == [0] * (dim - 1) + [1]
-    assert PolynomialApplier(NOT_CLOSED)._shift == [0, 0]
+        assert shifts == [0] * (dim - 1) + [1] + [1] * (dim - 1) + [0]
+    assert PolynomialApplier(NOT_CLOSED)._shift == [0, 0, 0, 0]
     # the check reads the tables the applier holds: a dropped coupling
     # sends its axis back to gathers
     tables = IndexSet.neighbor_ordinals
@@ -348,7 +368,7 @@ def test_constant_shifts_are_read_off_the_down_tables(monkeypatch):
         return down, up
 
     monkeypatch.setattr(IndexSet, "neighbor_ordinals", corrupted)
-    assert PolynomialApplier(build_full(2, 10))._shift == [0, 1]
+    assert PolynomialApplier(build_full(2, 10))._shift == [0, 1, 0, 0]
 
 
 def test_one_apply_allocates_no_block_per_degree(rng):
@@ -394,9 +414,7 @@ def test_fibre_route_peaks_at_most_two_rows_above_the_gather_route(rng):
         finally:
             tracemalloc.stop()
 
-    fibres = PolynomialApplier(iset)
-    gathers = PolynomialApplier(iset)
-    gathers._fibre = [None] * iset.dim
+    fibres, gathers = PolynomialApplier(iset), without_fibres(iset)
     assert peak_rows(fibres) <= peak_rows(gathers) + 2.0
     assert fibre_walks(fibres, tuple(range(6, 0, -1)))[0] > 0
 
@@ -661,10 +679,12 @@ def test_applier_is_cached_per_set():
 
 def test_applier_gathers_through_the_sets_own_neighbor_tables():
     # the -1 of an absent neighbor gathers the padded zero slot, so the
-    # applier keeps the set's tables as they are, read-only
+    # applier keeps the set's tables as they are, read-only, on the axes
+    # that gather; the last axis slides and keeps none
     iset = build_hyperbolic(3, 12)
     appl = get_applier(iset)
-    for axis in range(1, iset.dim + 1):
+    assert appl._down[2] is None and appl._up[2] is None
+    for axis in range(1, iset.dim):
         for kept, fresh in zip((appl._down[axis - 1], appl._up[axis - 1]),
                                iset.neighbor_ordinals(axis)):
             assert kept.dtype == fresh.dtype == np.intp
@@ -677,29 +697,43 @@ def test_applier_gathers_through_the_sets_own_neighbor_tables():
                               iset.locate(iset.indices + step) < 0)
 
 
-def test_applier_keeps_one_copy_of_the_neighbor_tables(rng):
-    # construction keeps the 2N intp tables of n entries; a real and then a
-    # complex apply each add one padded coupling table per axis, in the
-    # vector's dtype.  The slack, less than one more array of n float64s,
-    # covers the Python objects only
-    iset = build_full(3, 12)
-    n, N = iset.size, iset.dim
-    approx = interpolate(torsional(3), 4)
-    v = rng.standard_normal(n)
+def built_and_kept(iset, applies):
+    """Bytes the set's applier holds once built, and once ``applies()``
+    has run on it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         appl = get_applier(iset)            # kept alive by the cache
         built = tracemalloc.get_traced_memory()[0] - before
-        appl.apply_polynomial(approx, v)
-        appl.apply_polynomial(approx, v + 0j)
+        applies(appl)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    tables = 2 * N * n * np.dtype(np.intp).itemsize
-    assert tables <= built < tables + n * 8
-    tables += N * (n + 1) * (8 + 16)
+    return built, kept
+
+
+def test_applier_keeps_one_copy_of_the_neighbor_tables(rng):
+    # every cube axis slides, so the applier keeps no intp table; a real and
+    # then a complex apply each add one padded coupling table per axis, in
+    # the vector's dtype.  The slack, less than one more array of n
+    # float64s, covers the Python objects only
+    iset = build_full(3, 12)
+    n, N = iset.size, iset.dim
+    approx = interpolate(torsional(3), 4)
+    v = rng.standard_normal(n)
+    built, kept = built_and_kept(iset, lambda appl: (
+        appl.apply_polynomial(approx, v),
+        appl.apply_polynomial(approx, v + 0j)))
+    assert built < n * 8
+    tables = N * (n + 1) * (8 + 16)
     assert tables <= kept < tables + n * 8
+    # a cross keeps the 2 (N - 1) tables of the axes that gather and their
+    # N - 1 fibre orders, and nothing for its last axis
+    iset = build_hyperbolic(6, 80)
+    n, N = iset.size, iset.dim
+    built, _ = built_and_kept(iset, lambda appl: None)
+    tables = 3 * (N - 1) * n * np.dtype(np.intp).itemsize
+    assert tables <= built < tables + n * 8
 
 
 def test_applier_is_freed_with_its_set_by_refcount():
@@ -739,9 +773,26 @@ def test_square_sum_three_routes_agree(rng):
         < 1e-13 * scale
 
 
+def test_square_sum_refuses_an_axis_the_set_is_not_closed_along(rng):
+    # on axis 1 of the set that is not closed, (3, 0) has (1, 0) two steps
+    # down but not (2, 0) one step down, so two-step partners composed from
+    # one-step ones would drop that coupling; a closed set that is no cross
+    # gathers on two axes and matches the dense entries
+    v = np.arange(1.0, 5.0)
+    with pytest.raises(ValueError, match="not closed along axis 1"):
+        get_applier(NOT_CLOSED).apply_square_sum(v)
+    staircase = from_indices([(i, j, k) for i in range(6) for j in range(5)
+                              for k in range(7) if i + 2 * j + k <= 8])
+    v = rng.standard_normal(staircase.size)
+    for data in (v, v + 1j * rng.standard_normal(staircase.size)):
+        fast = square_sum_apply(staircase, CoeffVector(staircase, data)).data
+        dense = assemble_square_sum(staircase).matrix @ data
+        assert np.max(np.abs(fast - dense)) < 1e-13
+
+
 def test_ladder_check_catches_a_corrupted_neighbor_table(monkeypatch, rng):
     # the dense oracle finds its partners without the neighbor tables, so
-    # dropping one axis-1 coupling changes the fast x**2 ladder only
+    # dropping one axis-1 coupling changes what the fast x**2 ladder sees only
     tables = IndexSet.neighbor_ordinals
     clean = build_full(2, 10)
     x1, dense = (assemble_coordinate(clean, 1).matrix,
@@ -758,9 +809,10 @@ def test_ladder_check_catches_a_corrupted_neighbor_table(monkeypatch, rng):
     iset = build_full(2, 10)
     assert np.array_equal(assemble_coordinate(iset, 1).matrix, x1)
     assert np.array_equal(assemble_square_sum(iset).matrix, dense)
+    # the dropped coupling leaves axis 1 open, and the ladder refuses it
     v = CoeffVector(iset, rng.standard_normal(iset.size))
-    fast = square_sum_apply(iset, v).data
-    assert np.max(np.abs(fast - dense @ v.data)) > 1e-3 * np.max(np.abs(v.data))
+    with pytest.raises(ValueError, match="not closed along axis 1"):
+        square_sum_apply(iset, v)
 
 
 def test_square_sum_diagonal_survives_pruning():
