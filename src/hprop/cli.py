@@ -11,10 +11,13 @@ Subcommands mirror the studies the library is built for:
 
 All numeric output is CSV on stdout (or ``--out``), full config echoed in
 ``# key=value`` header lines, floats at 17 significant digits.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 numerical failure.  An
-``--out`` whose directory is missing or unwritable is a usage error before
-any work starts; a later failure to write it also exits 1, with an
-``error:`` line.
+0 success, 1 usage error, 2 verification failure, 3 numerical failure.  A
+refusal to build an object beyond the size limits (``MAX_ELEMENTS`` members,
+grid points or entries, or the dense oracle's ``DENSE_CAP`` row and entry
+budget) also exits 3, with an ``error:`` line, before that object is
+allocated.  An ``--out`` whose directory is missing or unwritable is a usage
+error before any work starts; a later failure to write it also exits 1,
+with an ``error:`` line.
 """
 
 from __future__ import annotations

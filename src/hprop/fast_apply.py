@@ -49,6 +49,24 @@ sweeps or more: the input and the running sum move into that order, in one
 more scratch row, and the sum moves back.  Every entry meets the same
 products and adds as in the set's order, so the result is bitwise the same.
 
+A separable surrogate (no term with two nonzero degrees) is c_0 plus one
+series p_a(X_a / L) per axis.  On a fibre of m rows along an axis the set
+is closed along, X_a is the Jacobi matrix J_{m-1} with off-diagonal
+sqrt(k / 2), whose eigenpairs are the m-point Gauss-Hermite nodes and
+Hermite functions (Golub & Welsch 1969): there p_a(X_a / L) is the small
+dense block p_a(J_{m-1} / L), the quadrature Galerkin matrix in DVR form.
+Where blocks pay, such a surrogate applies as c_0 + sum_a B_a: per axis, v
+moves into an order that groups the fibres by length, digit-major, so that
+F fibres of length m form one (m, F) block; one m x m matmul per length;
+and the product moves back.  The blocks come from one Chebyshev recurrence
+run on every length at once, with no eigendecomposition.  The route is
+chosen with the plan, once per degree array, and blocks are taken only
+where (i) every axis with terms has a fibre order (a fibre frame, or a
+shift of 1; cubes keep their slides), (ii) the blocks cost no more than
+the banded form of R_a sweeps, sum over fibres of m**2 <= (2 R_a + 1) n on
+each such axis, and (iii) the set has at least ``_BLOCK_ROWS`` rows.  The
+result moves from the walk's at rounding level only.
+
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
 commute and the order is irrelevant; on reduced sets it is part of the
@@ -65,6 +83,19 @@ import numpy as np
 
 from .index_set import CoeffVector, IndexSet
 from .potential_approx import ChebApprox
+
+
+# Separable surrogates apply as per-fibre blocks only on sets this large.
+# A block build costs a few warm walk applies, and a small set is often
+# applied once per surrogate (rederr's 3-D crosses of 741 and 1 099 rows).
+# Measured in two runs with torsional degree 8 and complex vectors on a
+# 2-core box, the blocks' build and first apply cost 4.2-8.6 warm walk
+# applies more than a cold walk's on the 3-D crosses of K = 40, 60 and 80,
+# at most 2.8 more on the 4-D to 6-D crosses of 418-1 684 rows, at most
+# 3.8 more above the crossover (4-D K = 100, 3 579 rows; under one from the
+# 6-D K = 40 cross of 2 897 rows on).  A warm apply takes 0.23-0.58 of the
+# walk's on all of them.
+_BLOCK_ROWS = 2048
 
 
 class _Node(NamedTuple):
@@ -108,6 +139,21 @@ class _Plan(NamedTuple):
     frows: int
     series: int
     reads: tuple[int, ...]
+
+
+class _Blocks(NamedTuple):
+    """The block route of one separable degree array.
+
+    ``axes`` lists the axis indices that carry terms, ``top`` the largest
+    degree and ``slot[t]`` term t's place in the (len(axes), top + 1)
+    coefficient table: its axis's row and its degree, the constant term
+    at T_0 of the first row.
+    """
+
+    degrees: np.ndarray
+    axes: tuple[int, ...]
+    top: int
+    slot: np.ndarray
 
 
 def _compile(degrees: np.ndarray, order: tuple[int, ...],
@@ -178,16 +224,21 @@ class PolynomialApplier:
     with the sweep factor 2 / L folded in and cached per (dtype, factor);
     the x**2 ladder and the oscillator diagonal are typed the same way.
 
-    It also keeps one compiled plan per axis order, keyed by the full
-    degree array it was compiled from.  A run whose surrogate keeps its
-    degree set compiles once; a surrogate with another degree array (terms
-    can cross the drop threshold as time moves) compiles anew and replaces
-    that order's plan, so the cache holds one plan per order.
+    It also keeps one plan per axis order, keyed by the full degree array
+    it was made from: the block route of a separable surrogate where blocks
+    pay, else the compiled walk.  A run whose surrogate keeps its degree set
+    chooses once; a surrogate with another degree array (terms can cross the
+    drop threshold as time moves) is planned anew and replaces that order's
+    plan, so the cache holds one plan per order.  The block route keeps, per
+    axis, its block order (each row's position, and the rows in that order)
+    and its fibre lengths, built on first use, and the blocks last built,
+    keyed by the surrogate's halfwidth, degrees and coefficients: a
+    time-independent surrogate builds them once per set.
 
-    Tables and plans are never changed once stored, and a new one replaces
-    the old whole, so a caller keeps using the one it looked up; the scratch
-    rows are allocated inside each apply.  One applier can therefore serve
-    concurrent callers.
+    Tables, plans and blocks are never changed once stored, and a new one
+    replaces the old whole, so a caller keeps using the one it looked up;
+    the scratch rows are allocated inside each apply.  One applier can
+    therefore serve concurrent callers.
     """
 
     def __init__(self, iset: IndexSet):
@@ -206,6 +257,7 @@ class PolynomialApplier:
         self._shift = shifts + [int(pos is not None) for pos in self._fibre]
         self._tables = {}
         self._plans = {}
+        self._last_blocks = None
 
     @property
     def iset(self) -> IndexSet | None:
@@ -233,13 +285,111 @@ class PolynomialApplier:
         return self._table(("diagonal", dtype), lambda: (
             self.indices + 0.5).sum(axis=1).astype(dtype))
 
-    def _plan(self, degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
-        """The compiled walk of ``degrees`` in ``order``, cached per order."""
+    def _plan(self, degrees: np.ndarray,
+              order: tuple[int, ...]) -> _Plan | _Blocks:
+        """The route of ``degrees`` in ``order``, cached per order: blocks
+        where they pay, else the compiled walk."""
         plan = self._plans.get(order)
         if plan is None or not np.array_equal(plan.degrees, degrees):
-            plan = self._plans[order] = _compile(degrees, order,
-                                                 tuple(self._shift))
+            plan = self._plans[order] = self._blocks_plan(degrees) or \
+                _compile(degrees, order, tuple(self._shift))
         return plan
+
+    def _blocks_plan(self, degrees: np.ndarray) -> _Blocks | None:
+        """The block route of a separable ``degrees``, or None where the
+        walk stays: on a set below ``_BLOCK_ROWS``, where an axis with
+        terms has no fibre order, or where its blocks cost more than
+        2 R_a + 1 products per row, the banded cost of R_a sweeps."""
+        n, N = self.size, self.dim
+        if n < _BLOCK_ROWS or ((degrees > 0).sum(axis=1) > 1).any():
+            return None
+        tops = degrees.max(axis=0, initial=0)
+        axes = tuple(np.flatnonzero(tops).tolist())
+        if not axes or any(
+                (self._shift[a] != 1 and not self._shift[N + a])
+                or sum(F * m * m for m, F in self._groups(a)[2])
+                > (2 * tops[a] + 1) * n for a in axes):
+            return None
+        top = int(tops.max())
+        row = np.zeros(N, dtype=np.int64)
+        row[list(axes)] = np.arange(len(axes)) * (top + 1)
+        slot = row[degrees.argmax(axis=1)] + degrees.max(axis=1)
+        degrees = degrees.copy()
+        degrees.flags.writeable = slot.flags.writeable = False
+        return _Blocks(degrees, axes, top, slot)
+
+    def _groups(self, a):
+        """Axis index ``a``'s block order, as each row's position and the
+        rows in that order, and its (length, fibres) groups; built on first
+        use."""
+        return self._table(("groups", a), lambda: _block_order(
+            self.indices[:, a], self._fibre_rows(a)))
+
+    def _fibre_rows(self, a):
+        """The rows in axis index ``a``'s fibre order (None where it has
+        none), built on first use."""
+        pos = self._fibre[a]
+        return None if pos is None else self._table(
+            ("fibre rows", a), lambda: _rows(pos))
+
+    def _blocks(self, plan: _Blocks, approx: ChebApprox):
+        """Per axis of ``plan``, its (length m, fibres, block) groups for
+        ``approx``, with one block p_a(J_{m-1} / L) per fibre length.
+
+        The last blocks built are kept with the halfwidth, degrees and
+        coefficients they were built from, and replaced whole, so a
+        time-independent surrogate builds them once per set.
+        """
+        last = self._last_blocks
+        if last is not None and last[0] == approx.halfwidth and \
+                np.array_equal(last[1], approx.degrees) and \
+                np.array_equal(last[2], approx.coeffs):
+            return last[3]
+        groups = [self._groups(a)[2] for a in plan.axes]
+        lengths = sorted({m for g in groups for m, _ in g})
+        cheb, src, dst = self._table(
+            ("blocks", plan.top, approx.halfwidth, tuple(lengths)),
+            lambda: _chebyshev_blocks(lengths, plan.top, approx.halfwidth))
+        coeffs = np.bincount(plan.slot, approx.coeffs,
+                             minlength=len(plan.axes) * (plan.top + 1))
+        at = np.cumsum([0] + [m * m for m in lengths])
+        flat = np.zeros((len(plan.axes), at[-1]))
+        flat[:, dst] = np.take(coeffs.reshape(len(plan.axes), -1) @ cheb, src,
+                               axis=1)
+        at = dict(zip(lengths, at.tolist()))
+        blocks = [[(m, F, row[at[m]:at[m] + m * m].reshape(m, m))
+                   for m, F in g] for row, g in zip(flat, groups)]
+        self._last_blocks = (approx.halfwidth, approx.degrees.copy(),
+                             approx.coeffs.copy(), blocks)
+        return blocks
+
+    def _apply_blocks(self, plan: _Blocks, approx: ChebApprox,
+                      v: np.ndarray, dtype) -> np.ndarray:
+        """c_0 + sum_a B_a applied to v, axis by axis: v moves into the
+        axis's block order, each group of F fibres of length m is an (m, F)
+        block that its m x m p_a(J_{m-1} / L) multiplies in one matmul, and
+        the product moves back.  A complex vector is multiplied as its
+        (m, 2F) float view, so the real blocks need no cast."""
+        n = self.size
+        w = 2 if dtype.kind == "c" else 1
+        dst = np.empty(n, dtype=dtype)
+        fdst = dst.view(np.float64)
+        acc = None
+        for a, groups in zip(plan.axes, self._blocks(plan, approx)):
+            pos, rows, _ = self._groups(a)
+            fsrc = v[rows].astype(dtype, copy=False).view(np.float64)
+            start = 0
+            for m, F, block in groups:
+                stop = start + w * m * F
+                (np.matmul if m > 1 else np.multiply)(
+                    block, fsrc[start:stop].reshape(m, w * F),
+                    out=fdst[start:stop].reshape(m, w * F))
+                start = stop
+            if acc is None:
+                acc = dst[pos]
+            else:
+                acc += dst[pos]
+        return acc
 
     def _coupling(self, dtype, factor, reads):
         """The padded tables of 2 scale X in the frames listed in ``reads``,
@@ -283,6 +433,8 @@ class PolynomialApplier:
         if not approx.nterms:
             return acc
         plan = self._plan(approx.degrees, order)
+        if isinstance(plan, _Blocks):
+            return self._apply_blocks(plan, approx, v, dtype)
         # each slot sums its terms in term order, as bincount always does
         w = np.bincount(plan.slot, approx.coeffs,
                         minlength=plan.nslots).tolist()
@@ -400,42 +552,41 @@ class PolynomialApplier:
         where first neighbors are pruned away, so quadratic confinement
         shifts carry no reduction error at all.
         """
-        n = self.size
+        n, N = self.size, self.dim
         dtype = np.result_type(v.dtype, np.float64)
-
-        def ordinals():
-            # closure along an axis puts j + e_l in the set whenever
-            # j + 2 e_l is, so the two-step tables compose from the one-step
-            # ones; on an axis with a constant shift s the partners are 2 s
-            # rows away instead
-            for a, s in enumerate(self._shift[:self.dim]):
-                if not s and self._fibre[a] is None:
-                    raise ValueError(f"index set is not closed along axis "
-                                     f"{a + 1}: the x**2 ladder would drop "
-                                     f"couplings")
-            return [[None if s else np.append(d, -1)[d]
-                     for d, s in zip(tables, self._shift)]
-                    for tables in (self._down, self._up)]
-
-        down2, up2 = self._table("x**2 ordinals", ordinals)
+        for a, s in enumerate(self._shift[:N]):
+            if not s and self._fibre[a] is None:
+                raise ValueError(f"index set is not closed along axis "
+                                 f"{a + 1}: the x**2 ladder would drop "
+                                 f"couplings")
+        # an axis with a constant shift s finds its partners 2 s rows away;
+        # every other axis 2 rows away in its fibre order, where v moves in
+        # and each half of the ladder moves back
         d2 = self._table(("x**2", dtype), lambda: [
-            self._axis_table(lambda k: np.sqrt(k * (k - 1.0)) / 2.0, a, dtype)
-            for a in range(self.dim)])
-        pad = np.zeros(n + 1, dtype=dtype)
-        pad[:n] = v
-        tmp = np.empty(n + 1, dtype=dtype)
+            self._axis_table(lambda k: np.sqrt(k * (k - 1.0)) / 2.0,
+                             a if s else N + a, dtype)
+            for a, s in enumerate(self._shift[:N])])
+        tmp = np.empty(n, dtype=dtype)
         out = self._diagonal(dtype) * v    # sum_l (j_l + 1/2): the diagonal
-        for a, s in enumerate(self._shift[:self.dim]):
+        for a, s in enumerate(self._shift[:N]):
+            pos, src = None, v
             if not s:
-                out += d2[a][:-1] * pad[down2[a]]
-                np.multiply(d2[a], pad, out=tmp)
-                out += tmp[up2[a]]
-            elif 2 * s < n:     # else no row has j_a >= 2
-                m = n - 2 * s
-                np.multiply(d2[a][2 * s:n], pad[:m], out=tmp[:m])
+                pos, s, src = self._fibre[a], 1, v[self._fibre_rows(a)]
+            if 2 * s >= n:      # no row has j_a >= 2
+                continue
+            m, c = n - 2 * s, d2[a][2 * s:n]
+            if pos is None:
+                np.multiply(c, src[:m], out=tmp[:m])
                 out[2 * s:] += tmp[:m]
-                np.multiply(d2[a][2 * s:n], pad[2 * s:n], out=tmp[:m])
+                np.multiply(c, src[2 * s:], out=tmp[:m])
                 out[:m] += tmp[:m]
+            else:
+                tmp[:2] = 0.0
+                np.multiply(c, src[:m], out=tmp[2:])
+                out += tmp[pos]
+                np.multiply(c, src[2:], out=tmp[:m])
+                tmp[m:] = 0.0
+                out += tmp[pos]
         return out
 
 
@@ -465,6 +616,76 @@ def _fibre_order(down: np.ndarray, digits: np.ndarray) -> np.ndarray | None:
         base = base[base]
     count = np.bincount(base, minlength=down.size)
     return (np.cumsum(count) - count)[base] + digits
+
+
+def _block_order(digits: np.ndarray,
+                 fibre_rows: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """Each row's position once an axis's fibres are grouped by length and
+    laid out digit-major in each group, the rows in that order, and the
+    groups' (length, fibres).
+
+    ``fibre_rows`` lists the rows in the axis's fibre order, None where the
+    set's order is one.  A stable sort by (length, digit) keeps the fibres
+    of a group in fibre order, so the f-th of a group's F fibres of length
+    m puts digit d at d * F + f past the group's start: the group is an
+    (m, F) block.
+    """
+    seq = digits if fibre_rows is None else digits[fibre_rows]
+    lens = np.diff(np.flatnonzero(seq == 0), append=seq.size)
+    top = int(lens.max())
+    key = np.repeat(lens, lens) * top + seq
+    # a stable sort of small ints is a radix sort
+    rows = np.argsort(key.astype(np.min_scalar_type(top * top)),
+                      kind="stable")
+    if fibre_rows is not None:
+        rows = fibre_rows[rows]
+    count = np.bincount(lens).tolist()
+    return _rows(rows), rows, tuple(
+        (m, F) for m, F in enumerate(count) if F)
+
+
+def _rows(pos: np.ndarray) -> np.ndarray:
+    """The rows in the order that puts each row at ``pos``."""
+    rows = np.empty_like(pos)
+    rows[pos] = np.arange(pos.size)
+    return rows
+
+
+def _chebyshev_blocks(lengths, top: int,
+                      halfwidth: float) -> tuple[np.ndarray, ...]:
+    """T_k(J_{m-1} / L) for k = 0 .. top and each fibre length m in
+    ``lengths``, as a (top + 1, rows x probes) stack, and where its entries
+    go in the dense blocks laid end to end.
+
+    The fibres run end to end with a zero coupling at each start, and the
+    recurrence sweeps 2 top + 1 probes at once: probe p sums the unit
+    vectors e_j with j = p mod (2 top + 1).  T_k has bandwidth k <= top, so
+    a row's probe entries are its band, and the entry of row r, probe p is
+    the block entry (r, j) for the one j within top of r with that residue,
+    when j is in r's fibre; every other block entry is zero.
+    """
+    lengths = np.asarray(lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rows, probes = starts.size, 2 * top + 1
+    r = np.arange(rows)
+    c = np.sqrt((r - starts) / 2.0)[1:, None] / halfwidth
+    cheb = np.zeros((top + 1, rows, probes))
+    cheb[0, r, r % probes] = 1.0
+    for k in range(1, top + 1):
+        prev, out = cheb[k - 1], cheb[k]
+        np.multiply(c, prev[:-1], out=out[1:])
+        out[:-1] += c * prev[1:]
+        if k > 1:
+            out *= 2.0
+            out -= cheb[k - 2]
+    i = (r - starts)[:, None]
+    j = i - top + (np.arange(probes) - r[:, None] + top) % probes
+    fibre = np.repeat(np.arange(lengths.size), lengths)[:, None]
+    inside = (j >= 0) & (j < lengths[fibre])
+    offset = np.cumsum(lengths * lengths) - lengths * lengths
+    src = np.flatnonzero(inside)
+    dst = (offset[fibre] + i * lengths[fibre] + j)[inside]
+    return cheb.reshape(top + 1, -1), src, dst
 
 
 def _constant_shift(down: np.ndarray, digits: np.ndarray) -> int:

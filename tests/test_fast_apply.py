@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hprop import (
     get_applier,
     henon_heiles_perturbed,
     interpolate,
+    product_potential,
     smooth_remainder,
     square_sum_apply,
     torsional,
@@ -208,7 +210,7 @@ def test_shared_axis_sweep_equals_per_term_application(rng):
 def gather_only(iset):
     """An applier whose every frame gathers, through tables rebuilt from the
     set, and that knows every axis of the closed set as closed: every sweep
-    and every x**2 partner gathers."""
+    gathers, and every x**2 partner is read in fibre order."""
     appl = PolynomialApplier(iset)
     tables = [iset.neighbor_ordinals(axis) for axis in range(1, iset.dim + 1)]
     appl._down = [down for down, _ in tables]
@@ -221,10 +223,36 @@ def gather_only(iset):
 
 def without_fibres(iset):
     """An applier whose fibre frames are switched off: the axes that have
-    one sweep by gathers in the set's order."""
+    one sweep by gathers in the set's order (and no surrogate takes the
+    block route, which needs them)."""
     appl = PolynomialApplier(iset)
     appl._shift[iset.dim:] = [0] * iset.dim
     return appl
+
+
+def walk_only(iset):
+    """An applier on which separable surrogates keep the walk."""
+    appl = PolynomialApplier(iset)
+    appl._blocks_plan = lambda degrees: None
+    return appl
+
+
+def with_zero_coupling(approx):
+    """``approx`` plus a zero-weight term on axes 1 and 2: the same
+    operator, but no longer separable, so every applier walks it."""
+    row = np.zeros((1, approx.dim), dtype=np.int64)
+    row[0, :2] = 1
+    return replace(approx, degrees=np.vstack([approx.degrees, row]),
+                   coeffs=np.append(approx.coeffs, 0.0))
+
+
+def driven_torsional(dim, halfwidth=16.0):
+    """(1 + sin(t)**2) (1 - cos(x_l / L)) summed over the axes: separable,
+    with coefficients that move in time."""
+    def w(x, t):
+        return (1.0 + math.sin(t) ** 2) * (1.0 - np.cos(x / halfwidth))
+
+    return product_potential([[(l, w)] for l in range(dim)], dim, halfwidth)
 
 
 @pytest.mark.parametrize("iset,spec,degree", [
@@ -252,10 +280,13 @@ def test_slice_route_equals_gather_route(iset, spec, degree, rng):
                              gathers.apply_polynomial(approx, v, order))
         assert same_bits(slices.apply_square_sum(v),
                          gathers.apply_square_sum(v))
-    # two-step ordinals are composed only for the axes that gather
-    down2, up2 = slices._tables["x**2 ordinals"]
-    for a, s in enumerate(slices._shift[:iset.dim]):
-        assert (down2[a] is None) == (up2[a] is None) == bool(s)
+    # no two-step table is composed: the axes with no shift find their
+    # partners 2 rows away in fibre order, where v moves in through the
+    # order's rows, the one int table the ladder adds per such axis
+    assert "x**2 ordinals" not in slices._tables
+    moved = sorted(key[1] for key in slices._tables if key[0] == "fibre rows")
+    assert moved == [a for a, s in enumerate(slices._shift[:iset.dim])
+                     if not s]
 
 
 def fibre_walks(appl, order):
@@ -315,6 +346,129 @@ def test_walks_off_the_fibre_route_are_unchanged(iset, spec, degree, rng):
                          fresh.apply_polynomial(approx, v, order))
         assert fibre_walks(appl, order or tuple(range(iset.dim, 0, -1))) \
             == (0, False)
+
+
+# -- per-fibre blocks ----------------------------------------------------------
+
+
+def eigh_fibre_reference(iset, approx, v):
+    """A separable surrogate applied fibre by fibre from eigenpairs.
+
+    On a fibre of m rows along axis a, X_a is the Jacobi matrix J with
+    off-diagonal sqrt(k / 2), so p_a(X_a / L) is U diag(p_a(lambda / L)) U^T
+    there; the constant term multiplies v itself.
+    """
+    out = np.zeros(iset.size, dtype=np.result_type(v.dtype, np.float64))
+    series = np.zeros((iset.dim, approx.degree + 1))
+    for row, alpha in approx.terms:
+        if any(row):
+            a = int(np.flatnonzero(row)[0])
+            series[a, row[a]] += alpha
+        else:
+            out += alpha * v
+    for a in np.flatnonzero(series.any(axis=1)):
+        digits = iset.indices[:, a]
+        fibre = np.unique(np.delete(iset.indices, a, axis=1), axis=0,
+                          return_inverse=True)[1].ravel()
+        rows = np.lexsort((digits, fibre))
+        sizes = np.bincount(fibre)
+        starts = np.cumsum(sizes) - sizes
+        for m in np.unique(sizes):
+            idx = rows[starts[sizes == m][:, None] + np.arange(m)]
+            assert np.array_equal(digits[idx], np.broadcast_to(
+                np.arange(m), idx.shape))
+            off = np.sqrt(np.arange(1, m) / 2.0)
+            lam, U = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+            block = (U * np.polynomial.chebyshev.chebval(
+                lam / approx.halfwidth, series[a])) @ U.T
+            out[idx] += v[idx] @ block
+    return out
+
+
+STAIRCASE4D = from_indices([(i, j, k, l) for i in range(25) for j in range(13)
+                            for k in range(9) for l in range(25)
+                            if i + 2 * j + 3 * k + l <= 24])
+
+
+@pytest.mark.parametrize("iset,blocks", [
+    pytest.param(build_hyperbolic(2, 75), False, id="cross2d-K75"),
+    pytest.param(build_hyperbolic(6, 80), True, id="cross6d-K80"),
+    pytest.param(build_hyperbolic(12, 40), True, id="cross12d-K40"),
+    pytest.param(STAIRCASE4D, True, id="staircase4d"),
+])
+def test_single_axis_surrogates_match_per_fibre_eigh_blocks(iset, blocks,
+                                                            rng):
+    # the per-fibre form of a single-axis series, from eigh of J_m; the
+    # walk (forced by a zero-weight coupling term) and, where the set takes
+    # it, the block route both match it.  The 2-D K = 75 cross is below the
+    # crossover, and its long fibres would fail the cost rule as well; the
+    # 12-D cross is a two-level set
+    approx = interpolate(torsional(iset.dim), 8, time=0.3)
+    appl = PolynomialApplier(iset)
+    re, im = rng.standard_normal((2, iset.size))
+    for v in (re, re + 1j * im):
+        want = eigh_fibre_reference(iset, approx, v)
+        for route in (approx, with_zero_coupling(approx)):
+            got = appl.apply_polynomial(route, v)
+            assert np.max(np.abs(got - want)) \
+                <= 1e-13 * np.max(np.abs(want))
+    assert isinstance(appl._plans[tuple(range(iset.dim, 0, -1))],
+                      fast_apply._Plan)
+    assert (appl._blocks_plan(approx.degrees) is not None) == blocks
+
+
+@pytest.mark.parametrize("iset", [
+    pytest.param(build_hyperbolic(4, 100), id="cross4d-K100"),
+    pytest.param(build_hyperbolic(6, 40), id="cross6d-K40"),
+    pytest.param(build_hyperbolic(6, 80), id="cross6d-K80"),
+    pytest.param(STAIRCASE4D, id="staircase4d"),
+])
+def test_blocks_match_the_walk_above_the_crossover(iset, rng):
+    # both orders of a separable surrogate (with its constant term, and one
+    # axis left without terms) take the blocks, which match the walk that
+    # a zero-weight coupling term forces, for real and complex vectors
+    spec = smooth_remainder(torsional_minus_harmonic(iset.dim))
+    approx = interpolate(spec, 8, time=0.3)
+    keep = approx.degrees[:, 1] == 0
+    approx = replace(approx, degrees=approx.degrees[keep],
+                     coeffs=approx.coeffs[keep])
+    appl = PolynomialApplier(iset)
+    re, im = rng.standard_normal((2, iset.size))
+    for v in (re, re + 1j * im):
+        for order in (None, tuple(range(1, iset.dim + 1))):
+            got = appl.apply_polynomial(approx, v, order)
+            assert got.dtype == v.dtype
+            walk = appl.apply_polynomial(with_zero_coupling(approx), v, order)
+            assert np.max(np.abs(got - walk)) <= 1e-13 * np.max(np.abs(walk))
+            assert same_bits(got, PolynomialApplier(iset).apply_polynomial(
+                approx, v, order))
+    plan = appl._plan(approx.degrees, tuple(range(1, iset.dim + 1)))
+    assert isinstance(plan, fast_apply._Blocks)
+    assert 1 not in plan.axes
+
+
+def test_block_order_groups_fibres_by_length_digit_major():
+    # each group of F fibres of length m is an (m, F) block: digit d of the
+    # group's f-th fibre (fibres in their fibre order) at d * F + f
+    iset = STAIRCASE4D
+    appl = PolynomialApplier(iset)
+    for a in range(iset.dim):
+        pos, rows, groups = appl._groups(a)
+        assert np.array_equal(pos[rows], np.arange(iset.size))
+        fibre_pos = appl._fibre[a] if appl._fibre[a] is not None \
+            else np.arange(iset.size)
+        start = 0
+        for m, F in groups:
+            block = rows[start:start + m * F].reshape(m, F)
+            assert np.array_equal(iset.indices[block, a],
+                                  np.broadcast_to(np.arange(m)[:, None],
+                                                  (m, F)))
+            others = np.delete(iset.indices[block], a, axis=2)
+            assert (others == others[:1]).all()
+            assert (np.diff(fibre_pos[block[0]]) > 0).all()
+            start += m * F
+        assert [m for m, _ in groups] == sorted({m for m, _ in groups})
+        assert start == iset.size
 
 
 @pytest.mark.parametrize("dim,bound", [(2, 12), (3, 40), (4, 20), (6, 80),
@@ -399,7 +553,8 @@ def test_one_apply_allocates_no_block_per_degree(rng):
 
 
 def test_fibre_route_peaks_at_most_two_rows_above_the_gather_route(rng):
-    # the fibre row, and one moved-back vector in place of a gathered one
+    # the fibre row, and one moved-back vector in place of a gathered one;
+    # the set is above the block crossover, so the walk is kept by hand
     iset = build_hyperbolic(6, 40)
     approx = interpolate(smooth_remainder(torsional_minus_harmonic(6)), 8,
                          time=0.3)
@@ -414,7 +569,7 @@ def test_fibre_route_peaks_at_most_two_rows_above_the_gather_route(rng):
         finally:
             tracemalloc.stop()
 
-    fibres, gathers = PolynomialApplier(iset), without_fibres(iset)
+    fibres, gathers = walk_only(iset), without_fibres(iset)
     assert peak_rows(fibres) <= peak_rows(gathers) + 2.0
     assert fibre_walks(fibres, tuple(range(6, 0, -1)))[0] > 0
 
@@ -499,16 +654,24 @@ def test_complex_apply_is_the_real_applies_of_its_parts(rng):
 
 def test_coupling_tables_are_cached_per_halfwidth(rng):
     # 2 / L is folded into the cached tables, so an applier that serves
-    # two halfwidths must hold a table for each
-    iset = build_hyperbolic(3, 24)
-    v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
-    appl = PolynomialApplier(iset)
-    for halfwidth in (16.0, 10.0, 16.0):
-        spec = custom_potential(gaussian_well, 3, halfwidth)
-        approx = interpolate(spec, 8, time=0.7)
-        got = appl.apply_polynomial(approx, v)
-        want = PolynomialApplier(iset).apply_polynomial(approx, v)
-        assert np.array_equal(got, want)
+    # two halfwidths must hold a table for each; the blocks of a separable
+    # surrogate above the crossover are built from J / L and kept with
+    # their halfwidth, so a new halfwidth replaces them
+    cases = [(build_hyperbolic(3, 24), lambda L: interpolate(
+        custom_potential(gaussian_well, 3, L), 8, time=0.7)),
+             (build_hyperbolic(6, 80), lambda L: interpolate(
+                 torsional(6, L), 8))]
+    for iset, surrogate in cases:
+        v = rng.standard_normal(iset.size) \
+            + 1j * rng.standard_normal(iset.size)
+        appl = PolynomialApplier(iset)
+        for halfwidth in (16.0, 10.0, 16.0):
+            approx = surrogate(halfwidth)
+            got = appl.apply_polynomial(approx, v)
+            want = PolynomialApplier(iset).apply_polynomial(approx, v)
+            assert np.array_equal(got, want)
+    assert isinstance(appl._plans[(6, 5, 4, 3, 2, 1)], fast_apply._Blocks)
+    assert appl._last_blocks[0] == 16.0
 
 
 def same_bits(a, b):
@@ -534,13 +697,19 @@ def test_plan_follows_a_changing_degree_set(rng):
 
 
 def test_concurrent_callers_alternating_degree_sets_agree(rng):
-    # more threads than cores keep replacing each other's plans on one
-    # applier; a caller must keep the plan it looked up, so every result
-    # stays the one a fresh applier gives
-    iset = build_hyperbolic(3, 16)
-    spec = henon_heiles_perturbed(3)
+    # more threads than cores keep replacing each other's plans and blocks
+    # on one applier; a caller must keep the plan and the blocks it looked
+    # up, so every result stays the one a fresh applier gives.  The set is
+    # above the block crossover: the two separable surrogates take blocks,
+    # Henon-Heiles's walks
+    iset = build_hyperbolic(4, 100)
+    spec = henon_heiles_perturbed(4)
     cases = [(interpolate(spec, 3, time=t), order)
-             for t in (0.0, 0.3) for order in (None, (1, 2, 3))]
+             for t in (0.0, 0.3) for order in (None, (1, 2, 3, 4))]
+    cases += [(interpolate(torsional(4), 8), None),
+              (interpolate(torsional(4, 12.0), 6), None)]
+    assert all(PolynomialApplier(iset)._blocks_plan(approx.degrees)
+               for approx, _ in cases[4:])
     v = rng.standard_normal(iset.size) + 1j * rng.standard_normal(iset.size)
     want = [PolynomialApplier(iset).apply_polynomial(approx, v, order)
             for approx, order in cases]
@@ -572,7 +741,13 @@ def test_concurrent_callers_alternating_degree_sets_agree(rng):
 
 def test_instants_of_one_degree_set_share_one_plan(monkeypatch, rng):
     # the Gaussian well keeps its degree set over time: the second instant
-    # reuses the first one's plan, yet applies its own coefficients
+    # reuses the first one's plan, yet applies its own coefficients.  The
+    # route is chosen with the plan: a cube, a separable surrogate on a
+    # cross below the crossover or on one whose fibres are too long for the
+    # cost rule (3-D K = 200: 28 products a row against 17), and a coupling
+    # surrogate above the crossover compile a walk; a separable surrogate
+    # above it compiles none, and builds its blocks anew for each instant's
+    # coefficients
     compiled = []
 
     def spy(degrees, order, *marks):
@@ -581,19 +756,31 @@ def test_instants_of_one_degree_set_share_one_plan(monkeypatch, rng):
 
     compile_plan = fast_apply._compile
     monkeypatch.setattr(fast_apply, "_compile", spy)
-    iset = build_hyperbolic(3, 24)
-    first, second = (interpolate(gaussian_well_spec(3), 8, time=t)
-                     for t in (0.2, 0.9))
-    assert np.array_equal(first.degrees, second.degrees)
-    assert not np.array_equal(first.coeffs, second.coeffs)
-    appl = PolynomialApplier(iset)
-    v = rng.standard_normal(iset.size)
-    got = [appl.apply_polynomial(approx, v) for approx in (first, second)]
-    assert compiled == [(3, 2, 1)]
-    for out, approx in zip(got, (first, second)):
-        assert same_bits(out, PolynomialApplier(iset).apply_polynomial(
-            approx, v))
-    assert not np.array_equal(got[0], got[1])
+    cases = [(build_hyperbolic(3, 24), gaussian_well_spec(3), 8, True),
+             (build_full(3, 12), driven_torsional(3), 8, True),
+             (build_hyperbolic(3, 80), driven_torsional(3), 8, True),
+             (build_hyperbolic(3, 200), driven_torsional(3), 8, True),
+             (build_hyperbolic(6, 40),
+              smooth_remainder(henon_heiles_perturbed(6)), 3, True),
+             (build_hyperbolic(6, 80), driven_torsional(6), 8, False)]
+    assert cases[2][0].size < fast_apply._BLOCK_ROWS <= min(
+        case[0].size for case in cases[3:])
+    for iset, spec, degree, walks in cases:
+        compiled.clear()
+        first, second = (interpolate(spec, degree, time=t)
+                         for t in (0.2, 0.9))
+        assert np.array_equal(first.degrees, second.degrees)
+        assert not np.array_equal(first.coeffs, second.coeffs)
+        appl = PolynomialApplier(iset)
+        v = rng.standard_normal(iset.size)
+        got = [appl.apply_polynomial(approx, v) for approx in (first, second)]
+        order = tuple(range(iset.dim, 0, -1))
+        assert compiled == ([order] if walks else [])
+        assert isinstance(appl._plans[order], fast_apply._Plan) == walks
+        for out, approx in zip(got, (first, second)):
+            assert same_bits(out, PolynomialApplier(iset).apply_polynomial(
+                approx, v))
+        assert not np.array_equal(got[0], got[1])
 
 
 @pytest.mark.parametrize("rows", [[], [[0, 0, 0]], [[0, 0, 0], [2, 0, 0],
