@@ -13,14 +13,12 @@ tables are kept in the vector's dtype with the recurrence factor 2 / L
 folded in, so a sweep is two gathers, two like-typed multiplies and an add
 (when 2 / L is a power of two, as for L = 16, folding it in rounds nothing).
 
-Each sweep runs in a frame: frame l - 1 is axis l in the set's order, frame
-N + l - 1 axis l in its fibre order (the rows sorted by their other
-components, then by j_l).  A frame where each row j with j_l >= 1 has
-j - e_l s rows back, and rows with j_l = 0 have no down neighbor, slides:
-its gathers are slices by s.  Every cube axis does, and so do the last axis
-of a downward-closed set and the fibre frame of any other axis along which
-the set is closed, with s = 1.  That is exact: a slice partner that is not
-a neighbor meets c_l = 0, as the padded zero.  Only the other frames gather.
+Every sweep runs in the set's order.  An axis l where each row j with
+j_l >= 1 has j - e_l s rows back, and rows with j_l = 0 have no down
+neighbor, slides: its gathers are slices by s.  Every cube axis does, and
+so does the last axis of a downward-closed set, with s = 1.  That is exact:
+a slice partner that is not a neighbor meets c_l = 0, as the padded zero.
+Only the other axes gather.
 
 Chebyshev polynomials of X_l / L then follow from the three-term recurrence
 on whole coefficient vectors, and a tensor surrogate
@@ -37,17 +35,12 @@ axis's largest degree; separable potentials cost one per axis, O(N R size).
 
 The trie depends on the surrogate's degree array and the axis order only,
 not on its coefficients, so it is compiled once into an immutable plan: the
-nodes (frame, top degree, weight slots, kids by degree, degree-0 kid), one
+nodes (axis, top degree, weight slots, kids by degree, degree-0 kid), one
 int array mapping each term to its weight slot, the walk's depth and the
-series' frame.  An apply sums the coefficients into their slots with one
+axes it sweeps.  An apply sums the coefficients into their slots with one
 bincount, which adds each slot's terms in term order, and then only sweeps
 and adds, in scratch rows allocated once per apply: three per live trie
-level and one shared temporary.  A node with no kids (every node of a
-separable surrogate), and the last axis's series when no walked term
-reaches that axis, run in their axis's fibre frame once they make three
-sweeps or more: the input and the running sum move into that order, in one
-more scratch row, and the sum moves back.  Every entry meets the same
-products and adds as in the set's order, so the result is bitwise the same.
+level and one shared temporary.
 
 A separable surrogate (no term with two nonzero degrees) is c_0 plus one
 series p_a(X_a / L) per axis.  On a fibre of m rows along an axis the set
@@ -61,11 +54,12 @@ F fibres of length m form one (m, F) block; one m x m matmul per length;
 and the product moves back.  The blocks come from one Chebyshev recurrence
 run on every length at once, with no eigendecomposition.  The route is
 chosen with the plan, once per degree array, and blocks are taken only
-where (i) every axis with terms has a fibre order (a fibre frame, or a
-shift of 1; cubes keep their slides), (ii) the blocks cost no more than
-the banded form of R_a sweeps, sum over fibres of m**2 <= (2 R_a + 1) n on
-each such axis, and (iii) the set has at least ``_BLOCK_ROWS`` rows.  The
-result moves from the walk's at rounding level only.
+where (i) every axis with terms has a fibre order, the rows sorted by
+their other components, then by j_a (a shift of 1 is one; cubes keep their
+slides), (ii) the blocks cost no more than the banded form of R_a sweeps,
+sum over fibres of m**2 <= (2 R_a + 1) n on each such axis, and (iii) the
+set has at least ``_BLOCK_ROWS`` rows.  The result moves from the walk's at
+rounding level only.
 
 Within every term the axis factors are applied from the last axis inward to
 the first, matching the product as written.  On full cubes the factors
@@ -88,12 +82,12 @@ from .potential_approx import ChebApprox
 # Separable surrogates apply as per-fibre blocks only on sets this large.
 # A block build costs a few warm walk applies, and a small set is often
 # applied once per surrogate (rederr's 3-D crosses of 741 and 1 099 rows).
-# Measured in two runs with torsional degree 8 and complex vectors on a
-# 2-core box, the blocks' build and first apply cost 4.2-8.6 warm walk
-# applies more than a cold walk's on the 3-D crosses of K = 40, 60 and 80,
-# at most 2.8 more on the 4-D to 6-D crosses of 418-1 684 rows, at most
-# 3.8 more above the crossover (4-D K = 100, 3 579 rows; under one from the
-# 6-D K = 40 cross of 2 897 rows on).  A warm apply takes 0.23-0.58 of the
+# Measured with torsional degree 8 and complex vectors on a 2-core box, as
+# medians over 15 fresh appliers in two runs, the blocks' build and first
+# apply cost 1.8-2.9 warm walk applies more than a cold walk's on the 3-D
+# crosses of K = 40, 60 and 80, 0.2-1.2 more on the 4-D to 6-D crosses of
+# 418-1 684 rows and 0.2-0.9 more above the crossover (4-D K = 100, 3 579
+# rows; 6-D K = 40, 2 897 rows).  A warm apply takes 0.26-0.66 of the
 # walk's on all of them.
 _BLOCK_ROWS = 2048
 
@@ -101,15 +95,15 @@ _BLOCK_ROWS = 2048
 class _Node(NamedTuple):
     """One trie node of a compiled walk, run by ``PolynomialApplier._run``.
 
-    A node off the last axis sweeps T_1 .. T_top in its ``frame``, in the
-    three scratch rows of its ``level``: the terms finishing at T_k sum into
-    weight ``slot + k``, ``kids[k - 1]`` (or None) runs the terms going on
-    from T_k, and ``zero`` those with degree 0 here, from this node's input
-    once its sweep is done.  A last-axis node (``kids`` None) only adds
-    weight ``slot + k`` times its input into z[k].
+    A node off the last axis sweeps T_1 .. T_top on axis index ``axis``, in
+    the three scratch rows of its ``level``: the terms finishing at T_k sum
+    into weight ``slot + k``, ``kids[k - 1]`` (or None) runs the terms going
+    on from T_k, and ``zero`` those with degree 0 here, from this node's
+    input once its sweep is done.  A last-axis node (``kids`` None) only
+    adds weight ``slot + k`` times its input into z[k].
     """
 
-    frame: int
+    axis: int
     top: int
     slot: int
     level: int
@@ -124,9 +118,7 @@ class _Plan(NamedTuple):
     root's slots w0[0 .. top] of terms with no degree before the last axis,
     else a slot of the node where it finishes.  ``depth`` counts the sweep
     levels live at once, ``zrows`` the rows of z (0 when no walked term
-    reaches the last axis), ``frows`` the fibre scratch rows (1 when a
-    node or the series runs in a fibre frame, else 0), ``series`` is the
-    frame of the last axis's series and ``reads`` lists the frames swept in.
+    reaches the last axis) and ``reads`` lists the axis indices swept.
     """
 
     degrees: np.ndarray
@@ -136,8 +128,6 @@ class _Plan(NamedTuple):
     zrows: int
     depth: int
     root: _Node | None
-    frows: int
-    series: int
     reads: tuple[int, ...]
 
 
@@ -156,17 +146,8 @@ class _Blocks(NamedTuple):
     slot: np.ndarray
 
 
-def _compile(degrees: np.ndarray, order: tuple[int, ...],
-             shifts: tuple[int, ...]) -> _Plan:
-    """Group the terms of ``degrees`` into the trie walked in ``order``.
-
-    ``shifts[t]`` is frame t's slide shift, 0 where it gathers, so axis
-    index a has a fibre frame where ``shifts[N + a]`` is set.  A node with
-    no kid on such an axis runs in that frame, and so does the last axis's
-    series when no walked term reaches that axis, once they make three
-    sweeps or more: moving vectors into that order and back costs about the
-    gathers that two sweeps save.
-    """
+def _compile(degrees: np.ndarray, order: tuple[int, ...]) -> _Plan:
+    """Group the terms of ``degrees`` into the trie walked in ``order``."""
     N = len(order)
     degs = degrees[:, [a - 1 for a in order]]
     last, walked = degs[:, -1], degs[:, :-1].any(axis=1)
@@ -194,20 +175,17 @@ def _compile(degrees: np.ndarray, order: tuple[int, ...],
                 kids[k - 1] = node(group, col + 1, level + 1)
             else:
                 zero = node(group, col + 1, level)
-        t = N + a if shifts[N + a] and top > 2 and not any(kids) else a
-        reads.add(t)
-        return _Node(t, top, base, level, tuple(kids), zero)
+        reads.add(a)
+        return _Node(a, top, base, level, tuple(kids), zero)
 
     root = node(np.flatnonzero(walked), 0, 0) if walked.any() else None
     zrows = (top + 1) * bool(last[walked].any())
-    a = order[-1] - 1
-    series = N + a if not zrows and shifts[N + a] and top > 2 else a
     if top:
-        reads.add(series)
+        reads.add(order[-1] - 1)
     degrees = degrees.copy()
     degrees.flags.writeable = slot.flags.writeable = False
     return _Plan(degrees, slot, nslots, top, zrows, depth, root,
-                 int(max(reads, default=0) >= N), series, tuple(sorted(reads)))
+                 tuple(sorted(reads)))
 
 
 class PolynomialApplier:
@@ -215,14 +193,15 @@ class PolynomialApplier:
 
     On construction it reads each axis's down table once: for its constant
     shift, else, where the set is closed along the axis, for its fibre
-    order, kept as each row's position in it.  ``_shift[t]`` is frame t's
-    slide shift, 0 where it gathers.  Only the axes with no constant shift
-    keep their neighbor tables, the set's own read-only copies: gathered
-    vectors carry a zero in an extra last slot, which an absent neighbor's
-    -1 picks.  Each frame swept has one coupling table c_a = sqrt(k_a / 2),
-    padded with a zero in slot n, built on first use in the vector's dtype
-    with the sweep factor 2 / L folded in and cached per (dtype, factor);
-    the x**2 ladder and the oscillator diagonal are typed the same way.
+    order, kept as each row's position in it; the x**2 ladder and the block
+    route read those orders.  ``_shift[a]`` is axis index a's slide shift,
+    0 where it gathers.  Only the axes with no constant shift keep their
+    neighbor tables, the set's own read-only copies: gathered vectors carry
+    a zero in an extra last slot, which an absent neighbor's -1 picks.  Each
+    axis swept has one coupling table c_a = sqrt(k_a / 2), padded with a
+    zero in slot n, built on first use in the vector's dtype with the sweep
+    factor 2 / L folded in and cached per (dtype, factor); the x**2 ladder
+    and the oscillator diagonal are typed the same way.
 
     It also keeps one plan per axis order, keyed by the full degree array
     it was made from: the block route of a separable surrogate where blocks
@@ -245,16 +224,15 @@ class PolynomialApplier:
         self._iset = weakref.ref(iset)
         self.size, self.dim, self.indices = iset.size, iset.dim, iset.indices
         self._bound = iset.bound
-        self._down, self._up, self._fibre, shifts = [], [], [], []
+        self._down, self._up, self._fibre, self._shift = [], [], [], []
         for a, digits in enumerate(iset.indices.T):
             down, up = iset.neighbor_ordinals(a + 1)
             s = _constant_shift(down, digits)
-            shifts.append(s)
+            self._shift.append(s)
             self._fibre.append(None if s else _fibre_order(down, digits))
-            # an axis that slides in the set's order reads no table again
+            # an axis that slides reads no table again
             self._down.append(None if s else down)
             self._up.append(None if s else up)
-        self._shift = shifts + [int(pos is not None) for pos in self._fibre]
         self._tables = {}
         self._plans = {}
         self._last_blocks = None
@@ -271,13 +249,12 @@ class PolynomialApplier:
             table = self._tables[key] = build()
         return table
 
-    def _axis_table(self, coupling, t, dtype):
-        """coupling(k) as a padded ``dtype`` table in frame ``t``; evaluated
-        once per digit value."""
-        N = self.dim
+    def _axis_table(self, coupling, a, dtype, pos=slice(-1)):
+        """coupling(k) on axis index ``a`` as a padded ``dtype`` table, each
+        row's entry at its position ``pos`` (by default the set's order);
+        evaluated once per digit value."""
         out = np.zeros(self.size + 1, dtype=dtype)
-        out[self._fibre[t - N] if t >= N else slice(-1)] = coupling(
-            np.arange(self._bound + 1.0))[self.indices[:, t % N]]
+        out[pos] = coupling(np.arange(self._bound + 1.0))[self.indices[:, a]]
         return out
 
     def _diagonal(self, dtype):
@@ -292,7 +269,7 @@ class PolynomialApplier:
         plan = self._plans.get(order)
         if plan is None or not np.array_equal(plan.degrees, degrees):
             plan = self._plans[order] = self._blocks_plan(degrees) or \
-                _compile(degrees, order, tuple(self._shift))
+                _compile(degrees, order)
         return plan
 
     def _blocks_plan(self, degrees: np.ndarray) -> _Blocks | None:
@@ -306,7 +283,7 @@ class PolynomialApplier:
         tops = degrees.max(axis=0, initial=0)
         axes = tuple(np.flatnonzero(tops).tolist())
         if not axes or any(
-                (self._shift[a] != 1 and not self._shift[N + a])
+                (self._shift[a] != 1 and self._fibre[a] is None)
                 or sum(F * m * m for m, F in self._groups(a)[2])
                 > (2 * tops[a] + 1) * n for a in axes):
             return None
@@ -392,15 +369,15 @@ class PolynomialApplier:
         return acc
 
     def _coupling(self, dtype, factor, reads):
-        """The padded tables of 2 scale X in the frames listed in ``reads``,
-        by frame; None elsewhere.  Each table is cached on its own, so the
-        plans that read it share it."""
+        """The padded tables of 2 scale X on the axis indices listed in
+        ``reads``, by axis; None elsewhere.  Each table is cached on its
+        own, so the plans that read it share it."""
         def build():
-            tables = [None] * (2 * self.dim)
-            for t in reads:
-                tables[t] = self._table(("x", dtype, factor, t), lambda: (
+            tables = [None] * self.dim
+            for a in reads:
+                tables[a] = self._table(("x", dtype, factor, a), lambda: (
                     self._axis_table(lambda k: np.sqrt(k / 2.0) * factor,
-                                     t, dtype)))
+                                     a, dtype)))
             return tables
 
         return self._table(("x", dtype, factor, reads), build)
@@ -419,6 +396,7 @@ class PolynomialApplier:
         recurrence sums the series at the cost of one sweep.
         """
         n, N = self.size, self.dim
+        self._check_rows(v)
         if approx.dim != N:
             raise ValueError(f"surrogate dimension {approx.dim} does not "
                              f"match index set dimension {N}")
@@ -438,29 +416,26 @@ class PolynomialApplier:
         # each slot sums its terms in term order, as bincount always does
         w = np.bincount(plan.slot, approx.coeffs,
                         minlength=plan.nslots).tolist()
-        # one block: three sweep rows per level, one temporary, z, the
-        # fibre rows, and last the padded input
-        rows = list(np.zeros((3 * plan.depth + 2 + plan.zrows + plan.frows,
-                              n + 1), dtype=dtype))
+        # one block: three sweep rows per level, one temporary, z, and last
+        # the padded input
+        rows = list(np.zeros((3 * plan.depth + 2 + plan.zrows, n + 1),
+                             dtype=dtype))
         u = rows.pop()
         u[:n] = v
         # every sweep multiplies by 2 scale X; T_1 and the last Clenshaw
         # step halve once
         coupling = self._coupling(dtype, 2.0 / approx.halfwidth, plan.reads)
         tmp = rows[3 * plan.depth]
-        z = rows[3 * plan.depth + 1:3 * plan.depth + 1 + plan.zrows]
+        z = rows[3 * plan.depth + 1:]
         if plan.root is not None:
             self._run(plan.root, u, w, coupling, rows, tmp, z, acc)
         # b_k = c_k + 2 scale X b_{k+1} - b_{k+2} (b_{top+1} = b_{top+2} = 0)
         # in row k % 3; the sum c_0 + scale X b_1 - b_2 lands in row 0
-        top, t, pos = plan.top, plan.series, slice(None)
-        if t >= N:      # no z: the series sums u alone, in fibre order
-            pos, u = self._fibre[t - N], rows[-1]
-            u[pos] = v
+        top, a = plan.top, order[-1] - 1
         for k in range(top, -1, -1):
             b = rows[k % 3]
             if k < top:
-                self._times_x(t, coupling[t], rows[(k + 1) % 3], b[:n], tmp)
+                self._times_x(a, coupling[a], rows[(k + 1) % 3], b[:n], tmp)
                 if not k:
                     b *= 0.5
             else:
@@ -472,34 +447,36 @@ class PolynomialApplier:
                 b += tmp
             if plan.zrows:
                 b += z[k]
-        acc += rows[0][:n][pos]
+        acc += rows[0][:n]
         return acc
 
-    def _times_x(self, t, c, src, out, tmp) -> None:
-        """out = c * src[down] + (c * src)[up] in frame ``t``.
+    def _check_rows(self, v: np.ndarray) -> None:
+        """Refuse a vector that is not one entry per row of the set."""
+        if v.shape != (self.size,):
+            raise ValueError(f"vector of shape {v.shape} does not match the "
+                             f"index set's {self.size} rows")
 
-        ``src``, the table ``c`` and the scratch ``tmp`` are padded.  A
-        frame that slides by s takes the gathers as slices.
+    def _times_x(self, a, c, src, out, tmp) -> None:
+        """out = c * src[down] + (c * src)[up] on axis index ``a``.
+
+        ``src``, the table ``c`` and the scratch ``tmp`` are padded.  An
+        axis that slides by s takes the gathers as slices.
         """
-        s = self._shift[t]
+        s = self._shift[a]
         if s:
             return _slide(s, c, src, out, tmp)
         np.multiply(c, src, out=tmp)
-        np.multiply(src[self._down[t]], c[:-1], out=out)
-        out += tmp[self._up[t]]
+        np.multiply(src[self._down[a]], c[:-1], out=out)
+        out += tmp[self._up[a]]
 
     def _run(self, node, src, w, coupling, rows, tmp, z, acc) -> None:
         """Add the terms under ``node``, applied to the padded ``src``.
 
         ``w`` holds the weights by slot, ``coupling`` the tables of
-        2 scale X by frame, ``rows`` the padded scratch rows (slot n stays
-        zero; the last is the fibre row when the plan has one), ``tmp`` the
-        shared temporary and ``z`` the last-axis sums.  In a fibre frame
-        the input moves into the level row that T_1 and T_2 leave free and
-        ``acc`` into the fibre row, and ``acc`` moves back once: each entry
-        meets the same products and adds as in the set's order.
+        2 scale X by axis, ``rows`` the padded scratch rows (slot n stays
+        zero), ``tmp`` the shared temporary and ``z`` the last-axis sums.
         """
-        n, slot, t = self.size, node.slot, node.frame
+        n, slot, a = self.size, node.slot, node.axis
         if node.kids is None:       # a last-axis node: z[k] += w * src
             for k in range(1, node.top + 1):
                 if w[slot + k] != 0.0:
@@ -507,16 +484,12 @@ class PolynomialApplier:
                     z[k] += tmp
             return
         base = 3 * node.level
-        prev, cur, total = None, src, acc
-        if t >= self.dim:
-            pos = self._fibre[t - self.dim]
-            cur, total = rows[base + 2], rows[-1][:n]
-            cur[pos], total[pos] = src[:n], acc
+        prev, cur = None, src
         for k in range(1, node.top + 1):
             # T_k = 2 scale X T_{k-1} - T_{k-2} (T_1 = scale X src) into
             # the level's row that holds T_{k-3}
             nxt = rows[base + (k - 1) % 3]
-            self._times_x(t, coupling[t], cur, nxt[:n], tmp)
+            self._times_x(a, coupling[a], cur, nxt[:n], tmp)
             if k > 1:
                 nxt -= prev
             else:
@@ -524,12 +497,10 @@ class PolynomialApplier:
             prev, cur = cur, nxt
             if w[slot + k] != 0.0:
                 np.multiply(cur, w[slot + k], out=tmp)
-                total += tmp[:n]
+                acc += tmp[:n]
             kid = node.kids[k - 1]
             if kid is not None:
                 self._run(kid, cur, w, coupling, rows, tmp, z, acc)
-        if total is not acc:
-            acc[:] = total[pos]
         # the degree-0 group sees src itself, and this level's rows are free
         if node.zero is not None:
             self._run(node.zero, src, w, coupling, rows, tmp, z, acc)
@@ -552,9 +523,10 @@ class PolynomialApplier:
         where first neighbors are pruned away, so quadratic confinement
         shifts carry no reduction error at all.
         """
-        n, N = self.size, self.dim
+        n = self.size
+        self._check_rows(v)
         dtype = np.result_type(v.dtype, np.float64)
-        for a, s in enumerate(self._shift[:N]):
+        for a, s in enumerate(self._shift):
             if not s and self._fibre[a] is None:
                 raise ValueError(f"index set is not closed along axis "
                                  f"{a + 1}: the x**2 ladder would drop "
@@ -563,12 +535,12 @@ class PolynomialApplier:
         # every other axis 2 rows away in its fibre order, where v moves in
         # and each half of the ladder moves back
         d2 = self._table(("x**2", dtype), lambda: [
-            self._axis_table(lambda k: np.sqrt(k * (k - 1.0)) / 2.0,
-                             a if s else N + a, dtype)
-            for a, s in enumerate(self._shift[:N])])
+            self._axis_table(lambda k: np.sqrt(k * (k - 1.0)) / 2.0, a, dtype,
+                             slice(-1) if s else self._fibre[a])
+            for a, s in enumerate(self._shift)])
         tmp = np.empty(n, dtype=dtype)
         out = self._diagonal(dtype) * v    # sum_l (j_l + 1/2): the diagonal
-        for a, s in enumerate(self._shift[:N]):
+        for a, s in enumerate(self._shift):
             pos, src = None, v
             if not s:
                 pos, s, src = self._fibre[a], 1, v[self._fibre_rows(a)]
